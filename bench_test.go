@@ -22,14 +22,12 @@ import (
 )
 
 // commitBenchOptions builds the engine options for one BenchmarkCommitThroughput
-// arm. The serial arm disables the group-commit pipeline; the mutex arm
-// routes appends through the legacy mutex-serialized log tail instead of
-// the reservation ring; the obsoff arm disables the metrics registry (the
-// observability-overhead A/B: ring vs ring/obsoff at equal committer counts
-// bounds the always-on cost). The pool is sized to hold the working set so
-// the numbers measure the commit path, not eviction I/O.
-func commitBenchOptions(serial, mutexLog, obsOff bool, streams int) Options {
-	return Options{DisableGroupCommit: serial, DisableAppendRing: mutexLog, DisableObs: obsOff, BufferFrames: 8192, LogStreams: streams}
+// arm. The serial arm disables the group-commit pipeline; the obsoff arm
+// disables the metrics registry (the observability-overhead A/B: c=N vs
+// obsoff/c=N bounds the always-on cost). The pool is sized to hold the
+// working set so the numbers measure the commit path, not eviction I/O.
+func commitBenchOptions(serial, obsOff bool) Options {
+	return Options{DisableGroupCommit: serial, DisableObs: obsOff, BufferFrames: 8192}
 }
 
 // benchScale is the Figure 7-11 workload: the database must dwarf a
@@ -195,43 +193,28 @@ func BenchmarkFig11UndoIO(b *testing.B) {
 // committers — the workload the group-commit pipeline exists for. Each
 // iteration is one single-row transaction ended by a durable Commit.
 //
-// The ring/mutex arms form the committer-scaling axis: group commit on,
-// appends through the lock-free reservation ring ("ring") versus the legacy
-// mutex-serialized log tail ("mutex"), at 1/2/4 committers each. On
-// multi-core the ring arm's commits/s should rise with the committer count
-// while the mutex arm flattens against tail-lock contention. The "serial"
-// arm keeps the pre-pipeline force-per-commit baseline for A/B continuity.
+// The c=N arms form the committer-scaling axis with group commit on, at
+// 1/2/4 committers. The "serial" arm keeps the pre-pipeline
+// force-per-commit baseline for A/B continuity.
 func BenchmarkCommitThroughput(b *testing.B) {
 	for _, mode := range []struct {
 		name       string
 		committers int
 		serial     bool
-		mutexLog   bool
 		obsOff     bool
-		streams    int
 	}{
-		{"ring/c=1", 1, false, false, false, 0},
-		{"ring/c=2", 2, false, false, false, 0},
-		{"ring/c=4", 4, false, false, false, 0},
-		{"mutex/c=1", 1, false, true, false, 0},
-		{"mutex/c=2", 2, false, true, false, 0},
-		{"mutex/c=4", 4, false, true, false, 0},
-		{"serial", 8, true, false, false, 0},
-		// The observability A/B: identical to ring/c=1 and ring/c=4 with the
-		// metrics registry disabled. BENCH_PR8.json records the medians; the
+		{"c=1", 1, false, false},
+		{"c=2", 2, false, false},
+		{"c=4", 4, false, false},
+		{"serial", 8, true, false},
+		// The observability A/B: identical to c=1 and c=4 with the metrics
+		// registry disabled. BENCH_PR8.json records the medians; the
 		// acceptance bar is ≤2% commits/s cost for always-on metrics.
-		{"obsoff/c=1", 1, false, false, true, 0},
-		{"obsoff/c=4", 4, false, false, true, 0},
-		// The committer×stream axis of the partitioned WAL: same ring arm
-		// with the log split into 2 and 4 physical streams. Under sync=none
-		// this smokes the cross-stream commit machinery; the headline
-		// fdatasync medians live in BENCH_PR9.json (asofbench -fig commit
-		// -streams 1,4 -sync fdatasync).
-		{"streams/c=4/s=2", 4, false, false, false, 2},
-		{"streams/c=4/s=4", 4, false, false, false, 4},
+		{"obsoff/c=1", 1, false, true},
+		{"obsoff/c=4", 4, false, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			db, err := Open(b.TempDir(), commitBenchOptions(mode.serial, mode.mutexLog, mode.obsOff, mode.streams))
+			db, err := Open(b.TempDir(), commitBenchOptions(mode.serial, mode.obsOff))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -280,16 +263,7 @@ func BenchmarkCommitThroughput(b *testing.B) {
 			// GOMAXPROCS — RunParallel's worker count is a multiple of
 			// GOMAXPROCS, which can't express c=1 on a 4-core runner, so
 			// b.N is split across explicit workers instead.
-			// Sum physical writes across every stream so commits/flush stays
-			// comparable between the single-stream and partitioned arms.
-			totalFlushes := func() int64 {
-				var n int64
-				for k := 0; k < db.Logs().Streams(); k++ {
-					n += db.Logs().Stream(k).Flushes.Load()
-				}
-				return n
-			}
-			flushes0 := totalFlushes()
+			flushes0 := db.Log().Flushes.Load()
 			b.ResetTimer()
 			var wg sync.WaitGroup
 			for c := 0; c < mode.committers; c++ {
@@ -332,7 +306,7 @@ func BenchmarkCommitThroughput(b *testing.B) {
 			if s := b.Elapsed().Seconds(); s > 0 {
 				b.ReportMetric(float64(b.N)/s, "commits/s")
 			}
-			if f := totalFlushes() - flushes0; f > 0 {
+			if f := db.Log().Flushes.Load() - flushes0; f > 0 {
 				b.ReportMetric(float64(b.N)/float64(f), "commits/flush")
 			}
 		})

@@ -39,9 +39,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	m, err := wal.OpenStore(filepath.Join(*dbdir, "wal"), wal.Config{
-		LegacyFile: filepath.Join(*dbdir, "wal.log"),
-	})
+	m, err := wal.Open(filepath.Join(*dbdir, "wal"), nil)
 	if err != nil {
 		fatal(err)
 	}

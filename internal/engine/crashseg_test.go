@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -249,4 +250,31 @@ func TestRetentionKeepsEngineServingAcrossRestart(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestOpenRefusesFlatLog: a directory holding a flat wal.log from before
+// segmented logs, and no segments, is refused with an error naming the
+// file — opening must never start an empty log in front of old data.
+func TestOpenRefusesFlatLog(t *testing.T) {
+	dir := t.TempDir()
+	flat := filepath.Join(dir, "wal.log")
+	if err := os.WriteFile(flat, []byte("flat log bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func(string, Options) (*DB, error){"Open": Open, "OpenStandby": OpenStandby} {
+		db, err := open(dir, Options{})
+		if err == nil {
+			db.Close()
+			t.Fatalf("%s accepted a flat-log directory", name)
+		}
+		if !strings.Contains(err.Error(), flat) {
+			t.Fatalf("%s: error %q does not name %s", name, err, flat)
+		}
+	}
+	if segs, _ := wal.ListSegments(filepath.Join(dir, "wal")); len(segs) != 0 {
+		t.Fatalf("refused open created %d log segments", len(segs))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "data.db")); !os.IsNotExist(err) {
+		t.Fatalf("refused open created data.db: %v", err)
+	}
 }

@@ -29,17 +29,9 @@ type CommitOptions struct {
 	// window (passed through to engine.Options).
 	GroupCommitMaxDelay time.Duration
 	GroupCommitMaxBytes int
-	// DisableAppendRing routes WAL appends through the legacy
-	// mutex-serialized tail — the A/B arm for the reservation-ring
-	// committer-scaling comparison.
-	DisableAppendRing bool
 	// DisableObs runs with the metrics registry disabled — the A/B arm that
 	// bounds the always-on observability cost on the commit path.
 	DisableObs bool
-	// LogStreams partitions the WAL into that many physical streams (the
-	// -streams sweep axis: under a real fsync policy, commits on different
-	// streams force different files and overlap their waits).
-	LogStreams int
 }
 
 // CommitResult is one arm's measurement.
@@ -72,9 +64,7 @@ func CommitThroughput(dir string, o CommitOptions, w io.Writer) (CommitResult, e
 		DisableGroupCommit:  o.DisableGroupCommit,
 		GroupCommitMaxDelay: o.GroupCommitMaxDelay,
 		GroupCommitMaxBytes: o.GroupCommitMaxBytes,
-		DisableAppendRing:   o.DisableAppendRing,
 		DisableObs:          o.DisableObs,
-		LogStreams:          o.LogStreams,
 	})
 	if err != nil {
 		return CommitResult{}, err
@@ -118,19 +108,10 @@ func CommitThroughput(dir string, o CommitOptions, w io.Writer) (CommitResult, e
 		}
 	}
 
-	// Physical log writes across every stream, so the batching factor stays
-	// comparable between the single-stream and partitioned arms.
-	totalFlushes := func() int64 {
-		var n int64
-		for k := 0; k < db.Logs().Streams(); k++ {
-			n += db.Logs().Stream(k).Flushes.Load()
-		}
-		return n
-	}
 	var seq atomic.Uint64
 	seq.Store(uint64(o.Preload))
 	var firstErr atomic.Value
-	flushes0 := totalFlushes()
+	flushes0 := db.Log().Flushes.Load()
 	start := time.Now()
 	var wg sync.WaitGroup
 	per := o.Txns / o.Committers
@@ -166,7 +147,7 @@ func CommitThroughput(dir string, o CommitOptions, w io.Writer) (CommitResult, e
 		Txns:       per * o.Committers,
 		Elapsed:    elapsed,
 		PerSec:     float64(per*o.Committers) / elapsed.Seconds(),
-		Flushes:    totalFlushes() - flushes0,
+		Flushes:    db.Log().Flushes.Load() - flushes0,
 	}
 	if res.Flushes > 0 {
 		res.PerFlush = float64(res.Txns) / float64(res.Flushes)
@@ -174,9 +155,6 @@ func CommitThroughput(dir string, o CommitOptions, w io.Writer) (CommitResult, e
 	mode := "group-commit"
 	if o.DisableGroupCommit {
 		mode = "serial-force"
-	}
-	if o.DisableAppendRing {
-		mode += "/mutex-log"
 	}
 	if o.DisableObs {
 		mode += "/obsoff"

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/row"
 	"repro/internal/txn"
 	"repro/internal/vclock"
 )
@@ -64,17 +65,42 @@ type Driver struct {
 	CkptEvery time.Duration
 
 	hid      atomic.Int64 // history id generator
+	hidErr   error        // failure reading the largest history id; Run returns it
 	ckptMu   sync.Mutex
 	lastCkpt time.Time
 }
 
 // NewDriver builds a driver. clock may be nil if the engine uses real time.
+// History ids continue after the largest one in the database, so a driver
+// can run on a reopened database.
 func NewDriver(db *engine.DB, cfg Config, clock *vclock.Clock) *Driver {
 	d := &Driver{DB: db, Cfg: cfg.withDefaults(), Clock: clock, TimePerTxn: 100 * time.Millisecond}
 	if clock != nil {
 		d.CkptEvery = 30 * time.Second
 	}
+	d.hidErr = d.seedHistoryID()
 	return d
+}
+
+// seedHistoryID sets the history id generator to the largest h_id present.
+// Ids are not dense (a deadlock-retried Payment burns one), so the rows
+// must be scanned rather than counted.
+func (d *Driver) seedHistoryID() error {
+	tx, err := d.DB.Begin()
+	if err != nil {
+		return err
+	}
+	defer tx.Rollback()
+	var maxID int64
+	err = tx.Scan(TableHistory, nil, nil, func(r row.Row) bool {
+		maxID = max(maxID, r[0].Int)
+		return true
+	})
+	if err != nil {
+		return fmt.Errorf("tpcc: largest history id: %w", err)
+	}
+	d.hid.Store(maxID)
+	return nil
 }
 
 // Run executes total transactions of the standard TPC-C mix (45% NewOrder,
@@ -85,6 +111,9 @@ func (d *Driver) Run(total, clients int) (Result, error) {
 		clients = 1
 	}
 	var res Result
+	if d.hidErr != nil {
+		return res, d.hidErr
+	}
 	logStart := d.DB.Log().Size()
 	virtStart := d.DB.Now()
 	start := time.Now()

@@ -238,3 +238,59 @@ func TestDriverMixedRun(t *testing.T) {
 }
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// TestDriverRunsOnReopenedDatabase: a driver built over a database that
+// already holds history rows continues their ids instead of colliding with
+// them (row already exists: history), across Close and Open.
+func TestDriverRunsOnReopenedDatabase(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Warehouses = 1
+	cfg.CustomersPerD = 10
+	cfg.Items = 100
+	dir := t.TempDir()
+	clock := vclock.New(time.Time{})
+	opts := engine.Options{Now: clock.Now, BufferFrames: 1024}
+	db, err := engine.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Load(db, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDriver(db, cfg, clock).Run(100, 2); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	countHistory := func(db *engine.DB) int {
+		t.Helper()
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Rollback()
+		n, err := tx.CountRows(TableHistory, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	before := countHistory(db)
+	if before == 0 {
+		t.Fatal("first run wrote no history rows")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = engine.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	res, err := NewDriver(db, cfg, clock).Run(100, 2)
+	if err != nil {
+		t.Fatalf("run on the reopened database: %v (%+v)", err, res)
+	}
+	if after := countHistory(db); after <= before {
+		t.Fatalf("history rows %d after the second run, want more than %d", after, before)
+	}
+}

@@ -13,10 +13,13 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/fsutil"
 	"repro/internal/obs"
 	"repro/internal/storage/media"
 )
+
+// errInjectedWrite is what the test-only failWrites hook makes log writes
+// return, so I/O-error propagation is testable without a faulty disk.
+var errInjectedWrite = errors.New("wal: injected write failure (test hook)")
 
 // ErrTruncated is returned when a requested LSN lies before the retention
 // boundary (the log has been truncated past it, §4.3).
@@ -31,15 +34,11 @@ const readBlockSize = 32 << 10
 // sequential scans for recovery and SplitLSN searches.
 //
 // The write path is a group-commit pipeline with a double-buffered tail.
-// By default, Append runs lock-free: appenders reserve their byte range
-// with one atomic add on resv and marshal + CRC directly into a fixed
-// reservation ring (see ring.go); drainers move complete frames from the
-// ring into the active tail buffer under mu. With the ring disabled,
-// Append frames records into the tail buffer under mu directly. Either
-// way, at most one flusher at a time writes the previously swapped-out
-// buffer to disk outside the lock — so appends (and therefore other
-// transactions' progress) never stall behind a log write, and the log byte
-// stream is identical in both modes. Committers call WaitDurable(lsn): the
+// Append marshals + CRCs a record outside the lock and copies the frame
+// into the active tail buffer under mu. At most one flusher at a time
+// writes the previously swapped-out buffer to disk outside the lock — so
+// appends (and therefore other transactions' progress) never stall behind
+// a log write. Committers call WaitDurable(lsn): the
 // first waiter becomes the flush leader, optionally lingers up to
 // GroupCommitMaxDelay for companions (skipped once GroupCommitMaxBytes are
 // pending), swaps the tail out and writes it; every commit whose record
@@ -57,23 +56,9 @@ type Manager struct {
 	tailAt LSN    // LSN of tail[0]
 	spare  []byte // recycled buffer, swapped in when a flush takes the tail
 
-	// resv is the 0-based end offset of reserved log space: the next
-	// record's LSN is resv+1. Ring-path appenders claim space with a single
-	// atomic add; the legacy mutex path advances it under mu. Reserved
-	// bytes above the ring's drain cursor are in flight — possibly still
-	// marshaling in their appender goroutines.
+	// resv is the 0-based end offset of appended log space: the next
+	// record's LSN is resv+1. Advanced under mu; loaded lock-free.
 	resv atomic.Uint64
-
-	// ring is the lock-free append reservation ring (see ring.go); nil
-	// when Config.DisableAppendRing routes appends through the mutex path.
-	ring *appendRing
-
-	// ringCond (on mu) parks ring-space waiters, flush leaders waiting for
-	// the drain watermark, and readers waiting on in-flight bytes.
-	ringCond *sync.Cond
-
-	// poisoned mirrors ioErr != nil for lock-free fast-path checks.
-	poisoned atomic.Bool
 
 	// failWrites is a test hook: when set, physical log writes fail with
 	// errInjectedWrite, poisoning the manager like a real I/O error.
@@ -165,17 +150,6 @@ type Config struct {
 	// backup checkpoint, not at database creation. Ignored when the store
 	// already holds segments.
 	BaseLSN LSN
-	// LegacyFile, when set and the store directory holds no segments yet,
-	// names a flat pre-segmentation log file whose bytes are migrated into
-	// the first segment (the file is kept, renamed *.migrated).
-	LegacyFile string
-	// AppendRingBytes sizes the lock-free append reservation ring (default
-	// DefaultAppendRingBytes; floor 64 KiB; rounded up to whole cells).
-	// Larger rings absorb deeper append bursts before backpressure.
-	AppendRingBytes int
-	// DisableAppendRing routes Append through the legacy mutex-serialized
-	// tail — the A/B arm for reservation-ring comparisons.
-	DisableAppendRing bool
 }
 
 // Open opens (creating if necessary) the segmented log store rooted at the
@@ -187,10 +161,8 @@ func Open(path string, dev *media.Device) (*Manager, error) {
 // OpenStore opens (creating if necessary) the segmented log store rooted at
 // the directory dir.
 func OpenStore(dir string, cfg Config) (*Manager, error) {
-	if cfg.LegacyFile != "" {
-		if err := migrateFlatLog(dir, cfg.LegacyFile); err != nil {
-			return nil, err
-		}
+	if err := refusePartitioned(dir); err != nil {
+		return nil, err
 	}
 	baseOff := int64(0)
 	if cfg.BaseLSN > 1 {
@@ -210,10 +182,6 @@ func OpenStore(dir string, cfg Config) (*Manager, error) {
 		clock:   clock.Real(),
 	}
 	m.resv.Store(uint64(end))
-	if !cfg.DisableAppendRing {
-		m.ring = newAppendRing(cfg.AppendRingBytes)
-		m.ring.consumed.Store(uint64(end))
-	}
 	// A store whose first segment begins past offset 0 carries a durable
 	// retention floor. The logical truncation point — the record-boundary
 	// LSN retention cut at, which is what scans must resume from (the
@@ -226,69 +194,36 @@ func OpenStore(dir string, cfg Config) (*Manager, error) {
 		m.trunc.Store(uint64(base) + 1)
 	}
 	m.flushDone = sync.NewCond(&m.mu)
-	m.ringCond = sync.NewCond(&m.mu)
 	m.flushed.Store(uint64(end))
 	return m, nil
 }
 
-// migrateFlatLog converts a pre-segmentation flat log file into the first
-// segment of a store. The (possibly oversized) segment seals on the first
-// rotation; LSNs are unchanged because segmentation is pure byte striping.
-func migrateFlatLog(dir, legacy string) error {
-	if fi, err := os.Stat(legacy); err != nil || fi.IsDir() {
-		return nil // nothing to migrate
+// ErrPartitionedLog reports a log directory written as several physical
+// streams (a streams.meta sidecar naming more than one). Only the first
+// stream lives in the directory itself, so opening it alone would silently
+// drop every other stream's commits; such logs are refused instead.
+var ErrPartitionedLog = errors.New("wal: partitioned log")
+
+// streamsMeta is the sidecar a partitioned log was created with: the stream
+// count as a little-endian u64.
+const streamsMeta = "streams.meta"
+
+// refusePartitioned fails when dir holds a partitioned log's sidecar.
+func refusePartitioned(dir string) error {
+	b, err := os.ReadFile(filepath.Join(dir, streamsMeta))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
 	}
-	// "Already populated" requires a segment with a VALID header: a crash
-	// during a previous migration attempt can leave a headerless or torn
-	// 00000001.seg, and treating that as populated would let open discard
-	// it and silently lose the entire flat log.
-	if segs, err := ListSegments(dir); err == nil && len(segs) > 0 {
-		return nil // store already populated; the flat file is stale
-	}
-	src, err := os.Open(legacy)
 	if err != nil {
-		return fmt.Errorf("wal: migrate open: %w", err)
+		return fmt.Errorf("wal: %s: %w", streamsMeta, err)
 	}
-	defer src.Close()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("wal: migrate mkdir: %w", err)
+	if len(b) != 8 {
+		return fmt.Errorf("%w: %s in %s holds %d bytes, want 8", ErrPartitionedLog, streamsMeta, dir, len(b))
 	}
-	// Build the segment under a temporary name and rename it into place
-	// only once header + content are complete and synced: a crash mid-copy
-	// must leave no *.seg file, or the next open would treat the store as
-	// populated and the rest of the flat log would be silently lost.
-	dstPath := filepath.Join(dir, segName(1))
-	tmpPath := dstPath + ".tmp"
-	dst, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: migrate create: %w", err)
+	if n := binary.LittleEndian.Uint64(b); n > 1 {
+		return fmt.Errorf("%w: %s has %d streams; only single-stream logs can be opened", ErrPartitionedLog, dir, n)
 	}
-	if err := writeSegHeader(dst, 1, 0); err != nil {
-		dst.Close()
-		return err
-	}
-	if _, err := dst.Seek(segHeaderSize, io.SeekStart); err != nil {
-		dst.Close()
-		return err
-	}
-	if _, err := io.Copy(dst, src); err != nil {
-		dst.Close()
-		return fmt.Errorf("wal: migrate copy: %w", err)
-	}
-	if err := dst.Sync(); err != nil {
-		dst.Close()
-		return err
-	}
-	if err := dst.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, dstPath); err != nil {
-		return fmt.Errorf("wal: migrate rename: %w", err)
-	}
-	if err := fsutil.SyncDir(dir); err != nil {
-		return err
-	}
-	return os.Rename(legacy, legacy+".migrated")
+	return nil
 }
 
 // SetGroupCommit configures the group-commit linger window: a flush leader
@@ -361,19 +296,19 @@ type frameBuf struct{ b []byte }
 // serialized into the log buffer before Append returns (callers alias page
 // bytes into records and may reuse them afterwards).
 //
-// On the default ring path, appenders reserve their byte range with one
-// atomic add and marshal + CRC directly into the reserved ring bytes, so
-// concurrent appenders share no lock at all (see ring.go); Append can then
-// fail only once a log write has poisoned the manager. On the legacy path
-// (Config.DisableAppendRing) appenders serialize on the tail memcpy under
-// mu, with the marshaling still done outside the lock.
+// Appenders serialize only on the tail memcpy under mu; marshaling and
+// the CRC run outside the lock. Append fails only once a log write has
+// poisoned the manager.
 func (m *Manager) Append(r *Record) (LSN, error) {
-	if m.ring != nil {
-		return m.ringAppend(r)
-	}
 	fb := framePool.Get().(*frameBuf)
 	fb.b = frame(fb.b[:0], r)
 	m.mu.Lock()
+	if m.ioErr != nil {
+		err := m.ioErr
+		m.mu.Unlock()
+		framePool.Put(fb)
+		return NilLSN, err
+	}
 	start := m.resv.Load()
 	lsn := LSN(start) + 1
 	m.tail = append(m.tail, fb.b...)
@@ -411,35 +346,6 @@ func (m *Manager) Flush(lsn LSN) error { return m.force(lsn, false) }
 // leader's write. This is the commit path.
 func (m *Manager) WaitDurable(lsn LSN) error { return m.force(lsn, true) }
 
-// WaitFlushed blocks until the durable watermark covers lsn without ever
-// leading a flush: the caller rides writes driven by the stream's own
-// committers. Safe only when another goroutine is guaranteed to force
-// through lsn — the cross-stream commit-dependency wait, where the sampled
-// dependency is a commit record whose own committer is mid-force on this
-// stream. Leading from here would cut this stream's group-commit batch at
-// whatever happened to be in its tail, collapsing the batching factor
-// (observed 8.2 → 1.8 commits/flush at 4 streams × 32 committers when
-// dependency waits went through force).
-func (m *Manager) WaitFlushed(lsn LSN) error {
-	for {
-		if LSN(m.flushed.Load()) >= lsn {
-			return nil
-		}
-		m.mu.Lock()
-		if m.ioErr != nil {
-			err := m.ioErr
-			m.mu.Unlock()
-			return err
-		}
-		if LSN(m.flushed.Load()) >= lsn {
-			m.mu.Unlock()
-			return nil
-		}
-		m.flushDone.Wait()
-		m.mu.Unlock()
-	}
-}
-
 // force drives the flush pipeline until lsn is durable. With linger set, an
 // elected leader waits up to gcDelay for more appends before writing,
 // unless gcBytes are already pending.
@@ -474,11 +380,7 @@ func (m *Manager) force(lsn LSN, linger bool) error {
 		}
 		// Leader: claim the flush slot.
 		m.flushActive = true
-		// Pending bytes include both the drained tail and any in-flight
-		// ring reservations (resv runs ahead of the tail on the ring path;
-		// on the legacy path the two are equal).
-		pending := int(int64(m.resv.Load()) - int64(m.tailAt-1))
-		if linger && m.gcDelay > 0 && pending < m.gcBytes {
+		if linger && m.gcDelay > 0 && len(m.tail) < m.gcBytes {
 			// Linger for companions: trade commit latency for batch size.
 			// Only with an explicitly configured delay — by default the
 			// pipeline batches purely from arrivals during in-flight writes,
@@ -489,31 +391,6 @@ func (m *Manager) force(lsn LSN, linger bool) error {
 			m.mu.Unlock()
 			time.Sleep(m.gcDelay)
 			m.mu.Lock()
-		}
-		if m.ring != nil {
-			// Drain the ring into the tail and wait until the target
-			// record's bytes are below the watermark — its frame may still
-			// be marshaling in its appender goroutine. Drain is
-			// frame-aligned, so covering lsn's first byte covers the whole
-			// record. waiters must be raised before the drain that feeds
-			// the first condition check: a publisher that loads waiters==0
-			// skips the broadcast, so it must be guaranteed that the
-			// waiter's own drain already sees those published cells.
-			m.ring.waiters.Add(1)
-			m.drainLocked()
-			for m.ioErr == nil && m.tailAt+LSN(len(m.tail)) <= lsn {
-				m.ringCond.Wait()
-				m.drainLocked()
-			}
-			m.ring.waiters.Add(-1)
-			if m.ioErr != nil {
-				err := m.ioErr
-				m.flushActive = false
-				m.flushGen++
-				m.flushDone.Broadcast()
-				m.mu.Unlock()
-				return err
-			}
 		}
 		// Swap the tail out; appends continue into the spare buffer while
 		// we write outside the lock.
@@ -557,14 +434,9 @@ func (m *Manager) force(lsn LSN, linger bool) error {
 			// meanwhile and poison the manager: after a failed log write no
 			// later flush may succeed, or the log would have a hole.
 			m.ioErr = fmt.Errorf("wal: flush: %w", err)
-			m.poisoned.Store(true)
 			m.tail = append(buf, m.tail...)
 			m.tailAt = at
 			err = m.ioErr
-			// Wake every parked ring waiter (space waiters, watermark
-			// waiters, readers): their wait loops check ioErr and surface
-			// it instead of hanging on a log that will never drain again.
-			m.ringCond.Broadcast()
 		} else {
 			m.flushed.Store(uint64(at) + uint64(len(buf)) - 1)
 			m.spare = buf[:0]
@@ -661,7 +533,7 @@ func (m *Manager) AppendRaw(frames []byte) (LSN, error) {
 		m.mu.Unlock()
 		return NilLSN, err
 	}
-	if len(m.tail) > 0 || m.flushActive || !m.ringQuiescentLocked() {
+	if len(m.tail) > 0 || m.flushActive {
 		m.mu.Unlock()
 		return NilLSN, errors.New("wal: AppendRaw on a log with buffered appends")
 	}
@@ -680,8 +552,6 @@ func (m *Manager) AppendRaw(frames []byte) (LSN, error) {
 	if err != nil {
 		m.mu.Lock()
 		m.ioErr = fmt.Errorf("wal: raw append: %w", err)
-		m.poisoned.Store(true)
-		m.ringCond.Broadcast()
 		m.mu.Unlock()
 		return NilLSN, m.ioErr
 	}
@@ -691,20 +561,14 @@ func (m *Manager) AppendRaw(frames []byte) (LSN, error) {
 	if got := LSN(m.resv.Load()) + 1; got != at {
 		// A concurrent appender reserved log space while the raw write was
 		// in flight, violating the single-writer contract. The raw bytes
-		// already landed over that reservation on disk, and storing our end
-		// below would clobber the ring counters on top — poison loudly
+		// already landed over that reservation on disk — poison loudly
 		// instead of corrupting the log silently.
 		m.ioErr = fmt.Errorf("wal: AppendRaw raced concurrent appends (next LSN moved %v -> %v)", at, got)
-		m.poisoned.Store(true)
-		m.ringCond.Broadcast()
 		m.mu.Unlock()
 		return NilLSN, m.ioErr
 	}
 	end := uint64(at-1) + uint64(len(frames))
 	m.resv.Store(end)
-	if m.ring != nil {
-		m.ring.consumed.Store(end)
-	}
 	m.tailAt = LSN(end) + 1
 	m.flushed.Store(end)
 	m.notifyDurableLocked()
@@ -721,7 +585,7 @@ func (m *Manager) AppendRaw(frames []byte) (LSN, error) {
 func (m *Manager) Rewind(end LSN) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.flushActive || len(m.tail) > 0 || !m.ringQuiescentLocked() {
+	if m.flushActive || len(m.tail) > 0 {
 		return errors.New("wal: rewind with buffered appends")
 	}
 	if end > LSN(m.resv.Load()) {
@@ -731,11 +595,6 @@ func (m *Manager) Rewind(end LSN) error {
 		return fmt.Errorf("wal: rewind: %w", err)
 	}
 	m.resv.Store(uint64(end))
-	if m.ring != nil {
-		// Quiescent ring: every cell counter is zero and the big map is
-		// empty, so moving the cursor back with resv keeps all invariants.
-		m.ring.consumed.Store(uint64(end))
-	}
 	m.tailAt = end + 1
 	m.flushed.Store(uint64(end))
 	m.cache.clear() // cached blocks past the cut are stale
@@ -840,8 +699,7 @@ func (m *Manager) ArchiveDir() string { return m.store.archiveDir }
 // SegmentBytes returns the configured segment capacity.
 func (m *Manager) SegmentBytes() int64 { return m.store.segBytes }
 
-// Size returns the total log size in bytes, including the unflushed tail
-// and any in-flight ring reservations.
+// Size returns the total log size in bytes, including the unflushed tail.
 func (m *Manager) Size() int64 {
 	return int64(m.resv.Load())
 }
@@ -861,38 +719,6 @@ func (m *Manager) readAt(buf []byte, off int64, countIO bool) (int, error) {
 	want := buf
 	if off+int64(len(want)) > end {
 		want = want[:end-off]
-	}
-	if m.ring != nil {
-		// The requested range is reserved, but its upper end may still be
-		// marshaling in appender goroutines (a reader typically chases a
-		// record whose Append just returned while earlier reservations are
-		// in flight). Wait until everything we will serve has been drained
-		// into the contiguous tail; on a poisoned manager, serve what was
-		// drained and error only if none of the range was. The drain runs
-		// at the top of the loop, after waiters is raised: a publisher that
-		// loads waiters==0 skips the broadcast, which is only safe if that
-		// publish is already visible to the drain feeding our check.
-		rg := m.ring
-		rg.waiters.Add(1)
-		for {
-			m.drainLocked()
-			drained := int64(m.tailAt-1) + int64(len(m.tail))
-			if off+int64(len(want)) <= drained {
-				break
-			}
-			if m.ioErr != nil {
-				if off >= drained {
-					err := m.ioErr
-					rg.waiters.Add(-1)
-					m.mu.Unlock()
-					return 0, err
-				}
-				want = want[:drained-off]
-				break
-			}
-			m.ringCond.Wait()
-		}
-		rg.waiters.Add(-1)
 	}
 	tailStart := int64(m.tailAt - 1)
 	memStart := tailStart

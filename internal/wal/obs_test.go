@@ -78,62 +78,54 @@ func TestFsyncHistogramExactOnVirtualClock(t *testing.T) {
 	}
 }
 
-// TestWalMetricsCoverAppendPaths exercises the ring, mutex, and truncation
-// counters end to end against a tiny segmented store.
+// TestWalMetricsCoverAppendPaths exercises the append, flush, rotation and
+// truncation counters end to end against a tiny segmented store. The
+// "mutex" subtest names the mutex-guarded tail, the only append path.
 func TestWalMetricsCoverAppendPaths(t *testing.T) {
-	for _, disableRing := range []bool{false, true} {
-		name := "ring"
-		if disableRing {
-			name = "mutex"
+	t.Run("mutex", func(t *testing.T) {
+		m, err := OpenStore(t.TempDir(), Config{SegmentBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			m, err := OpenStore(t.TempDir(), Config{SegmentBytes: 4 << 10, DisableAppendRing: disableRing})
-			if err != nil {
+		defer m.Close()
+		reg := obs.NewRegistry()
+		m.RegisterObs(reg)
+
+		var last LSN
+		payload := make([]byte, 256)
+		for i := 0; i < 64; i++ {
+			r := &Record{Type: TypeInsert, PageID: 1, Slot: uint16(i), NewData: payload}
+			if last, err = m.Append(r); err != nil {
 				t.Fatal(err)
 			}
-			defer m.Close()
-			reg := obs.NewRegistry()
-			m.RegisterObs(reg)
+		}
+		if err := m.Flush(last); err != nil {
+			t.Fatal(err)
+		}
 
-			var last LSN
-			payload := make([]byte, 256)
-			for i := 0; i < 64; i++ {
-				r := &Record{Type: TypeInsert, PageID: 1, Slot: uint16(i), NewData: payload}
-				if last, err = m.Append(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := m.Flush(last); err != nil {
-				t.Fatal(err)
-			}
+		mt := m.metrics
+		if got := mt.Appends.Load(); got != 64 {
+			t.Fatalf("appends = %d, want 64", got)
+		}
+		if mt.AppendBytes.Load() < 64*256 {
+			t.Fatalf("append bytes = %d, want >= %d", mt.AppendBytes.Load(), 64*256)
+		}
+		if mt.FlushBytes.Count() == 0 {
+			t.Fatal("flush batch histogram recorded nothing")
+		}
+		// 64 × ~270B frames overflow several 4KiB segments.
+		if mt.Rotations.Load() == 0 {
+			t.Fatal("no segment rotations recorded")
+		}
 
-			mt := m.metrics
-			if got := mt.Appends.Load(); got != 64 {
-				t.Fatalf("appends = %d, want 64", got)
-			}
-			if mt.AppendBytes.Load() < 64*256 {
-				t.Fatalf("append bytes = %d, want >= %d", mt.AppendBytes.Load(), 64*256)
-			}
-			if mt.FlushBytes.Count() == 0 {
-				t.Fatal("flush batch histogram recorded nothing")
-			}
-			if !disableRing && mt.RingDrains.Load() == 0 {
-				t.Fatal("ring path recorded no drains")
-			}
-			// 64 × ~270B frames overflow several 4KiB segments.
-			if mt.Rotations.Load() == 0 {
-				t.Fatal("no segment rotations recorded")
-			}
-
-			if err := m.Truncate(last); err != nil {
-				t.Fatal(err)
-			}
-			if mt.Truncations.Load() != 1 {
-				t.Fatalf("truncations = %d, want 1", mt.Truncations.Load())
-			}
-			if mt.SegmentsDropped.Load() == 0 {
-				t.Fatal("truncation dropped no segments")
-			}
-		})
-	}
+		if err := m.Truncate(last); err != nil {
+			t.Fatal(err)
+		}
+		if mt.Truncations.Load() != 1 {
+			t.Fatalf("truncations = %d, want 1", mt.Truncations.Load())
+		}
+		if mt.SegmentsDropped.Load() == 0 {
+			t.Fatal("truncation dropped no segments")
+		}
+	})
 }

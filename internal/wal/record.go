@@ -88,12 +88,6 @@ const (
 	// checkpoints backwards by wall-clock time.
 	TypeCheckpointBegin Type = 50
 	TypeCheckpointEnd   Type = 51
-
-	// TypeNoop fills log space without meaning: multi-stream recovery pads a
-	// rewound stream past positions still referenced by surviving records on
-	// other streams, so those dead references can never alias a future
-	// record. Ignored by analysis, redo, and undo.
-	TypeNoop Type = 60
 )
 
 func (t Type) String() string {
@@ -124,8 +118,6 @@ func (t Type) String() string {
 		return "ckpt-begin"
 	case TypeCheckpointEnd:
 		return "ckpt-end"
-	case TypeNoop:
-		return "noop"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
@@ -195,15 +187,6 @@ type Record struct {
 	OldData []byte
 	NewData []byte
 	Extra   []byte
-
-	// CSN and Deps are the multi-stream commit extension (ROADMAP 3b): on
-	// TypeCommit records of a partitioned log, CSN is the global commit
-	// sequence number and Deps[k] the highest byte position on stream k this
-	// commit may depend on (own stream NilLSN). Encoded as a trailing body
-	// extension only when CSN != 0, so single-stream logs stay byte-identical
-	// and pre-partitioning decoders simply never see the fields.
-	CSN  uint64
-	Deps []LSN
 }
 
 // Time returns WallClock as a time.Time.
@@ -256,20 +239,7 @@ func (r *Record) marshaledSize() int {
 		vlen(r.WallClock) +
 		uvlen(uint64(len(r.OldData))) + len(r.OldData) +
 		uvlen(uint64(len(r.NewData))) + len(r.NewData) +
-		uvlen(uint64(len(r.Extra))) + len(r.Extra) +
-		r.extSize()
-}
-
-// extSize is the byte size of the trailing commit extension (0 when absent).
-func (r *Record) extSize() int {
-	if r.CSN == 0 {
-		return 0
-	}
-	n := uvlen(r.CSN) + uvlen(uint64(len(r.Deps)))
-	for _, d := range r.Deps {
-		n += uvlen(uint64(d))
-	}
-	return n
+		uvlen(uint64(len(r.Extra))) + len(r.Extra)
 }
 
 // ApproxSize returns the record's on-disk footprint including framing.
@@ -297,13 +267,6 @@ func (r *Record) marshal(dst []byte) []byte {
 		putU(uint64(len(b)))
 		dst = append(dst, b...)
 	}
-	if r.CSN != 0 {
-		putU(r.CSN)
-		putU(uint64(len(r.Deps)))
-		for _, d := range r.Deps {
-			putU(uint64(d))
-		}
-	}
 	return dst
 }
 
@@ -319,14 +282,13 @@ func unmarshal(src []byte) (*Record, error) {
 
 // unmarshalInto parses a record body into r, overwriting every field — the
 // allocation-free decode path ChainReader drives with a reusable scratch
-// record. r's byte slices alias src.
+// record. r's byte slices alias src. A body with bytes after the last
+// payload is rejected: no record type carries a trailing extension.
 func unmarshalInto(r *Record, src []byte) error {
 	if len(src) < 3 {
 		return fmt.Errorf("wal: record body too short: %d bytes", len(src))
 	}
-	deps := r.Deps[:0] // keep scratch capacity across the wipe
 	*r = Record{}
-	r.Deps = deps
 	r.Type = Type(src[0])
 	r.CLRType = Type(src[1])
 	r.Flags = src[2]
@@ -359,54 +321,19 @@ func unmarshalInto(r *Record, src []byte) error {
 		return fmt.Errorf("wal: truncated record header at %d", off)
 	}
 	for _, dst := range [...]*[]byte{&r.OldData, &r.NewData, &r.Extra} {
-		n := int(getU())
-		if bad || n < 0 || off+n > len(src) {
+		n := getU()
+		if bad || n > uint64(len(src)-off) {
 			return fmt.Errorf("wal: field of %d bytes overruns body at %d", n, off)
 		}
 		if n > 0 {
-			*dst = src[off : off+n]
+			*dst = src[off : off+int(n)]
 		}
-		off += n
+		off += int(n)
 	}
-	r.Deps = r.Deps[:0]
-	if off < len(src) {
-		// Trailing commit extension: csn, dep count, per-stream dep positions.
-		r.CSN = getU()
-		nd := int(getU())
-		if bad || nd < 0 || nd > MaxStreams {
-			return fmt.Errorf("wal: commit extension with %d deps at %d", nd, off)
-		}
-		for i := 0; i < nd; i++ {
-			r.Deps = append(r.Deps, LSN(getU()))
-		}
-		if bad {
-			return fmt.Errorf("wal: truncated commit extension at %d", off)
-		}
+	if off != len(src) {
+		return fmt.Errorf("wal: %d trailing bytes after the record body", len(src)-off)
 	}
 	return nil
-}
-
-// bodyWallClock extracts the WallClock field from a record body prefix
-// without decoding the payloads — the drain-time commit sampler's fast
-// path. src must hold the three fixed bytes and the nine numeric varints
-// (at most maxBodyPrefix bytes); payloads may be cut off.
-func bodyWallClock(src []byte) (int64, bool) {
-	off := 3
-	if len(src) < off {
-		return 0, false
-	}
-	for i := 0; i < 8; i++ {
-		_, n := binary.Uvarint(src[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-	}
-	wc, n := binary.Varint(src[off:])
-	if n <= 0 {
-		return 0, false
-	}
-	return wc, true
 }
 
 // frame layout: u32 bodyLen | u32 crc32(body) | body
@@ -499,18 +426,6 @@ type CheckpointData struct {
 	// TLI 0 means the payload predates timelines (lineage unknown).
 	TLI     TimelineID
 	History TimelineHistory
-	// StreamBegins, on multi-stream logs, is the per-stream scan-start
-	// vector: element k is stream k's end position when the checkpoint began
-	// (all streams were forced through it before the end record was
-	// written). Empty on single-stream logs, keeping their payloads
-	// byte-identical to pre-partitioning ones.
-	StreamBegins StreamPos
-	// Discarded carries forward the tagged LSNs of commit records that
-	// multi-stream recovery discarded (their cross-stream dependencies were
-	// torn away): the records remain in the log bytes, so as-of resolution
-	// must know not to treat them as commits. Entries age out when retention
-	// truncates the records themselves. Only present with StreamBegins.
-	Discarded []LSN
 }
 
 // EncodeCheckpoint serializes d for Record.Extra.
@@ -534,22 +449,12 @@ func EncodeCheckpoint(d CheckpointData) []byte {
 		put(uint64(s.WallClock))
 		put(uint64(s.LSN))
 	}
-	if d.TLI != 0 || len(d.StreamBegins) > 0 {
+	if d.TLI != 0 {
 		put(uint64(d.TLI))
 		put(uint64(len(d.History)))
 		for _, f := range d.History {
 			put(uint64(f.TLI))
 			put(uint64(f.End))
-		}
-	}
-	if len(d.StreamBegins) > 0 {
-		put(uint64(len(d.StreamBegins)))
-		for _, p := range d.StreamBegins {
-			put(uint64(p))
-		}
-		put(uint64(len(d.Discarded)))
-		for _, l := range d.Discarded {
-			put(uint64(l))
 		}
 	}
 	return buf
@@ -605,8 +510,12 @@ func DecodeCheckpoint(b []byte) (CheckpointData, error) {
 		return d, fmt.Errorf("wal: checkpoint timeline trailer of %d bytes", len(rest))
 	}
 	d.TLI = TimelineID(binary.LittleEndian.Uint64(rest))
+	if d.TLI == 0 {
+		// Encoders write the section only for a known timeline.
+		return d, fmt.Errorf("wal: checkpoint timeline section with timeline 0")
+	}
 	hn := int(binary.LittleEndian.Uint64(rest[8:]))
-	if len(rest) < 16+16*hn || hn < 0 {
+	if uint64(hn) > uint64(len(rest)-16)/16 {
 		return d, fmt.Errorf("wal: checkpoint timeline trailer %d bytes for %d forks", len(rest), hn)
 	}
 	for i := 0; i < hn; i++ {
@@ -616,35 +525,8 @@ func DecodeCheckpoint(b []byte) (CheckpointData, error) {
 			End: LSN(binary.LittleEndian.Uint64(rest[off+8:])),
 		})
 	}
-	rest = rest[16+16*hn:]
-	if len(rest) == 0 {
-		return d, nil // single-stream payload
-	}
-	// Stream section: nStreams u64 | nStreams × begin u64, then
-	// nDiscarded u64 | nDiscarded × lsn u64.
-	if len(rest) < 8 {
-		return d, fmt.Errorf("wal: checkpoint stream trailer of %d bytes", len(rest))
-	}
-	sn := int(binary.LittleEndian.Uint64(rest))
-	if sn < 0 || sn > MaxStreams || len(rest) < 8+8*sn {
-		return d, fmt.Errorf("wal: checkpoint stream trailer %d bytes for %d streams", len(rest), sn)
-	}
-	for i := 0; i < sn; i++ {
-		d.StreamBegins = append(d.StreamBegins, LSN(binary.LittleEndian.Uint64(rest[8+8*i:])))
-	}
-	rest = rest[8+8*sn:]
-	if len(rest) == 0 {
-		return d, nil
-	}
-	if len(rest) < 8 {
-		return d, fmt.Errorf("wal: checkpoint discard trailer of %d bytes", len(rest))
-	}
-	dn := int(binary.LittleEndian.Uint64(rest))
-	if dn < 0 || len(rest) != 8+8*dn {
-		return d, fmt.Errorf("wal: checkpoint discard trailer %d bytes for %d entries", len(rest), dn)
-	}
-	for i := 0; i < dn; i++ {
-		d.Discarded = append(d.Discarded, LSN(binary.LittleEndian.Uint64(rest[8+8*i:])))
+	if rest = rest[16+16*hn:]; len(rest) != 0 {
+		return d, fmt.Errorf("wal: checkpoint payload has %d bytes after the timeline section", len(rest))
 	}
 	return d, nil
 }

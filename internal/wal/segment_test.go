@@ -457,45 +457,6 @@ func TestArchivedLogServesDroppedHistory(t *testing.T) {
 	_ = ends
 }
 
-// TestLegacyFlatLogMigration: a pre-segmentation flat wal.log is absorbed
-// into the first segment on open — same LSNs, same records — and appends
-// continue (rotating once the oversized first segment fills).
-func TestLegacyFlatLogMigration(t *testing.T) {
-	dir := t.TempDir()
-	flat := filepath.Join(dir, "wal.log")
-	var raw []byte
-	for i := 0; i < 10; i++ {
-		raw = frame(raw, &Record{Type: TypeCommit, TxnID: uint64(i + 1), PageID: NoPage, WallClock: int64(i)})
-	}
-	if err := os.WriteFile(flat, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenStore(filepath.Join(dir, "wal"), Config{LegacyFile: flat, SegmentBytes: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.NextLSN() != LSN(len(raw))+1 {
-		t.Fatalf("NextLSN %v after migration, want %v", m.NextLSN(), len(raw)+1)
-	}
-	count := 0
-	if err := m.Scan(1, func(r *Record) (bool, error) { count++; return true, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 10 {
-		t.Fatalf("migrated scan saw %d records, want 10", count)
-	}
-	if _, err := os.Stat(flat); !os.IsNotExist(err) {
-		t.Fatalf("flat log still present after migration: %v", err)
-	}
-	if _, err := os.Stat(flat + ".migrated"); err != nil {
-		t.Fatalf("migrated flat log not preserved: %v", err)
-	}
-	if _, err := m.AppendFlush(&Record{Type: TypeCommit, TxnID: 99, PageID: NoPage, WallClock: 99}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestReseedBaseStore: a store created with BaseLSN starts its LSN space
 // mid-stream — the reseeded-replica layout — and accepts raw appends there.
 func TestReseedBaseStore(t *testing.T) {

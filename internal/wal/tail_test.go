@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 )
 
-func openRingStore(t *testing.T, cfg Config) *Manager {
+func openTailStore(t *testing.T, cfg Config) *Manager {
 	t.Helper()
 	m, err := OpenStore(filepath.Join(t.TempDir(), "wal"), cfg)
 	if err != nil {
@@ -30,7 +29,7 @@ type appended struct {
 }
 
 // hammerAppenders drives `writers` goroutines of mixed-size appends with
-// interleaved WaitDurable/Flush calls, then verifies the fundamental ring
+// interleaved WaitDurable/Flush calls, then verifies the fundamental tail
 // invariants: LSNs form a gapless frame-aligned sequence, and Scan returns
 // exactly the appended records, byte for byte, in LSN order.
 func hammerAppenders(t *testing.T, m *Manager, writers, perWriter, maxPayload int) {
@@ -122,32 +121,21 @@ func hammerAppenders(t *testing.T, m *Manager, writers, perWriter, maxPayload in
 	}
 }
 
-// TestRingHammer races appenders, flushers and the scanner across three
-// arms: the default ring, a minimum-size ring that wraps hundreds of times,
-// and the legacy mutex path (same invariants must hold on both sides of the
-// A/B knob).
+// TestRingHammer races appenders, flushers and the scanner over the
+// double-buffered tail. The names are historical: "legacy" was the mutex
+// tail's arm beside a lock-free append ring that has since been removed.
 func TestRingHammer(t *testing.T) {
-	arms := []struct {
-		name string
-		cfg  Config
-	}{
-		{"ring-default", Config{}},
-		{"ring-wraparound", Config{AppendRingBytes: minAppendRingBytes}},
-		{"legacy", Config{DisableAppendRing: true}},
-	}
-	for _, arm := range arms {
-		t.Run(arm.name, func(t *testing.T) {
-			m := openRingStore(t, arm.cfg)
-			hammerAppenders(t, m, 8, 150, 2048)
-		})
-	}
+	t.Run("legacy", func(t *testing.T) {
+		m := openTailStore(t, Config{})
+		hammerAppenders(t, m, 8, 150, 2048)
+	})
 }
 
-// TestRingConcurrentReadersDuringAppend pairs racing appenders with readers
-// chasing records the instant Append returns — the reader may request bytes
-// whose earlier neighbors are still marshaling in other goroutines.
-func TestRingConcurrentReadersDuringAppend(t *testing.T) {
-	m := openRingStore(t, Config{AppendRingBytes: minAppendRingBytes})
+// TestTailConcurrentReadersDuringAppend pairs racing appenders with readers
+// chasing records the instant Append returns — the bytes they read may sit
+// in the active tail, in a buffer mid-flush, or on disk.
+func TestTailConcurrentReadersDuringAppend(t *testing.T) {
+	m := openTailStore(t, Config{})
 	const writers = 6
 	const perWriter = 150
 	var wg sync.WaitGroup
@@ -179,12 +167,11 @@ func TestRingConcurrentReadersDuringAppend(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRingBigFrames interleaves ordinary appends with frames bigger than
-// the side-map threshold (ring/4) and bigger than the whole ring: the
-// oversized path must splice into the same gapless byte stream.
-func TestRingBigFrames(t *testing.T) {
-	m := openRingStore(t, Config{AppendRingBytes: minAppendRingBytes})
-	bigMax := m.ring.bigMax
+// TestTailBigFrames interleaves ordinary appends with frames bigger than
+// the group-commit byte threshold and bigger than a whole segment: they
+// must land in the same gapless byte stream.
+func TestTailBigFrames(t *testing.T) {
+	m := openTailStore(t, Config{SegmentBytes: 256 << 10})
 	var mu sync.Mutex
 	var all []appended
 	var wg sync.WaitGroup
@@ -197,9 +184,9 @@ func TestRingBigFrames(t *testing.T) {
 				n := 64
 				switch i % 8 {
 				case 2:
-					n = bigMax + 1024 // side-map path
+					n = DefaultGroupCommitMaxBytes + 1024
 				case 5:
-					n = len(m.ring.buf) + 4096 // bigger than the whole ring
+					n = 256<<10 + 4096 // bigger than a whole segment
 				}
 				rec := &Record{Type: TypeImage, TxnID: id, PageID: uint32(w + 1), NewData: make([]byte, n)}
 				size := rec.ApproxSize()
@@ -252,12 +239,12 @@ func TestRingBigFrames(t *testing.T) {
 	}
 }
 
-// TestRingMidFlushRotation runs racing committers over tiny (4 KiB)
+// TestTailMidFlushRotation runs racing committers over tiny (4 KiB)
 // segments so flush buffers constantly straddle segment rotations, then
 // reopens the store and verifies every acknowledged commit survived.
-func TestRingMidFlushRotation(t *testing.T) {
+func TestTailMidFlushRotation(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	m, err := OpenStore(dir, Config{SegmentBytes: 4096, AppendRingBytes: minAppendRingBytes})
+	m, err := OpenStore(dir, Config{SegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +302,11 @@ func TestRingMidFlushRotation(t *testing.T) {
 	}
 }
 
-// TestRingIOErrorSurfaces injects a write failure under racing committers:
-// every in-flight reserver must surface the error (not hang), and the
+// TestTailIOErrorSurfaces injects a write failure under racing committers:
+// every in-flight committer must surface the error (not hang), and the
 // manager must stay sticky-poisoned afterwards.
-func TestRingIOErrorSurfaces(t *testing.T) {
-	m := openRingStore(t, Config{AppendRingBytes: minAppendRingBytes})
+func TestTailIOErrorSurfaces(t *testing.T) {
+	m := openTailStore(t, Config{})
 	const writers = 8
 	errs := make(chan error, writers)
 	var wg sync.WaitGroup
@@ -352,7 +339,7 @@ func TestRingIOErrorSurfaces(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("in-flight reservers hung after injected I/O error")
+		t.Fatal("in-flight committers hung after injected I/O error")
 	}
 	for i := 0; i < writers; i++ {
 		if err := <-errs; err == nil {
@@ -370,144 +357,5 @@ func TestRingIOErrorSurfaces(t *testing.T) {
 		t.Fatalf("no unflushed bytes after failed flush: end %v, flushed %v", end, m.FlushedLSN())
 	} else if err := m.WaitDurable(end); err == nil {
 		t.Fatal("WaitDurable succeeded on a poisoned manager")
-	}
-}
-
-// TestRingSamplingMatchesLegacy replays one record sequence — commits
-// interleaved with page traffic, including slightly inverted commit
-// wall-clocks — through a ring manager and a legacy manager, and requires
-// the drain-time sampler to produce the exact sample set the append-time
-// sampler did: same LSNs, same wall clocks, same order.
-func TestRingSamplingMatchesLegacy(t *testing.T) {
-	ring := openRingStore(t, Config{})
-	legacy := openRingStore(t, Config{DisableAppendRing: true})
-	rng := rand.New(rand.NewSource(7))
-	wc := int64(1_000_000)
-	for i := 0; i < 4000; i++ {
-		var rec Record
-		if i%4 == 0 {
-			wc += int64(rng.Intn(2000)) - 40 // occasional inversion
-			rec = Record{Type: TypeCommit, TxnID: uint64(i), PageID: NoPage, WallClock: wc}
-		} else {
-			rec = Record{Type: TypeInsert, TxnID: uint64(i), PageID: 1,
-				NewData: make([]byte, rng.Intn(300))}
-		}
-		r1, r2 := rec, rec
-		if _, err := ring.Append(&r1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := legacy.Append(&r2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ring.Flush(ring.NextLSN() - 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Flush(legacy.NextLSN() - 1); err != nil {
-		t.Fatal(err)
-	}
-	rs, ls := ring.TimeSamplesSince(0), legacy.TimeSamplesSince(0)
-	if len(rs) < 3 {
-		t.Fatalf("sampling never engaged: %d samples", len(rs))
-	}
-	if !reflect.DeepEqual(rs, ls) {
-		t.Fatalf("sample sets diverge:\nring:   %v\nlegacy: %v", rs, ls)
-	}
-}
-
-// TestRingLegacyByteIdentical replays one record sequence through both
-// append paths and requires byte-identical logs — the property that keeps
-// replication shipping, torn-tail recovery and every chain walk oblivious
-// to which path wrote the bytes.
-func TestRingLegacyByteIdentical(t *testing.T) {
-	ring := openRingStore(t, Config{AppendRingBytes: minAppendRingBytes})
-	legacy := openRingStore(t, Config{DisableAppendRing: true})
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 800; i++ {
-		n := rng.Intn(1500)
-		if i%37 == 0 {
-			n = minAppendRingBytes / 3 // side-map path on the ring arm
-		}
-		rec := Record{Type: TypeUpdate, TxnID: uint64(i), PageID: uint32(i % 9),
-			PrevLSN: LSN(i), WallClock: int64(i) << 20, NewData: make([]byte, n)}
-		r1, r2 := rec, rec
-		if _, err := ring.Append(&r1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := legacy.Append(&r2); err != nil {
-			t.Fatal(err)
-		}
-		if r1.LSN != r2.LSN {
-			t.Fatalf("LSN divergence at %d: ring %v, legacy %v", i, r1.LSN, r2.LSN)
-		}
-	}
-	if err := ring.Flush(ring.NextLSN() - 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Flush(legacy.NextLSN() - 1); err != nil {
-		t.Fatal(err)
-	}
-	size := ring.Size()
-	if size != legacy.Size() {
-		t.Fatalf("log sizes diverge: %d vs %d", size, legacy.Size())
-	}
-	a, b := make([]byte, size), make([]byte, size)
-	if n, err := ring.ReadDurable(a, 0); err != nil || int64(n) != size {
-		t.Fatalf("read ring log: n=%d err=%v", n, err)
-	}
-	if n, err := legacy.ReadDurable(b, 0); err != nil || int64(n) != size {
-		t.Fatalf("read legacy log: n=%d err=%v", n, err)
-	}
-	if !bytes.Equal(a, b) {
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("logs diverge at byte %d of %d", i, size)
-			}
-		}
-	}
-}
-
-// TestRingWaiterPublishRace hammers the flush-leader/publisher interleaving
-// that once lost wakeups: the leader drained, a publisher then landed its
-// cells and loaded waiters==0 (skipping the broadcast), and the leader
-// raised waiters only afterwards and parked on a check fed by the stale
-// pre-publish drain — leader on ringCond, publisher behind flushActive,
-// forever. Two committers doing append+WaitDurable in lockstep hit exactly
-// that window; the failure mode is a deadlock, so the test runs under a
-// watchdog rather than asserting values.
-func TestRingWaiterPublishRace(t *testing.T) {
-	m := openRingStore(t, Config{AppendRingBytes: minAppendRingBytes, Sync: testSyncPolicy(t)})
-	iters := 2000
-	if testing.Short() {
-		iters = 300
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		for w := 0; w < 2; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < iters; i++ {
-					rec := &Record{Type: TypeCommit, TxnID: uint64(w)<<32 | uint64(i), PageID: 1, WallClock: int64(i)}
-					lsn, err := m.Append(rec)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if err := m.WaitDurable(lsn); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		t.Fatal("committers parked past the watchdog: missed ring wakeup")
 	}
 }
