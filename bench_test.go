@@ -471,23 +471,6 @@ func BenchmarkAsOfQuery(b *testing.B) {
 	})
 }
 
-// BenchmarkAsOfReadPath runs the chain-reader vs per-record-Read A/B
-// (exp.AsOfReadPath, also `asofbench -fig asofread`) and reports both
-// arms' per-record costs.
-func BenchmarkAsOfReadPath(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.AsOfReadPath(b.TempDir(), 1200, 4, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Chain.NsPerRecord, "chain-ns/rec")
-		b.ReportMetric(res.PerRecord.NsPerRecord, "perrecord-ns/rec")
-		b.ReportMetric(res.Speedup, "chain-speedup")
-		b.ReportMetric(float64(res.Chain.LogReads), "chain-log-reads")
-		b.ReportMetric(float64(res.PerRecord.LogReads), "perrecord-log-reads")
-	}
-}
-
 // BenchmarkSec64Crossover regenerates §6.4: as-of vs restore as a function
 // of the fraction of the database accessed — the crossover where rolling a
 // backup forward starts beating rewinding the current state.

@@ -33,7 +33,7 @@ var profMutex, profBlock string
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: 5, 6, 7, 8, 9, 10, 11, 63, 64, commit, asofread, repl or all")
+		fig     = flag.String("fig", "all", "figure to regenerate: 5, 6, 7, 8, 9, 10, 11, 63, 64, commit, repl or all")
 		txns    = flag.Int("txns", 3000, "transactions of benchmark history")
 		clients = flag.Int("clients", 4, "concurrent benchmark clients")
 		items   = flag.Int("items", 6000, "TPC-C items (database size driver)")
@@ -157,13 +157,6 @@ func main() {
 			if _, err := exp.Replication(dir+"/repl", *txns, *clients, *replicas, os.Stdout); err != nil {
 				fatal(err)
 			}
-		}
-	}
-
-	if wants("asofread") {
-		fmt.Printf("\n== As-of read path: chain reader vs per-record Read (%d txns, %d clients) ==\n", *txns, *clients)
-		if _, err := exp.AsOfReadPath(dir+"/asofread", *txns, *clients, os.Stdout); err != nil {
-			fatal(err)
 		}
 	}
 

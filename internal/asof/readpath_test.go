@@ -16,17 +16,44 @@ import (
 // bigBody pads rows so the history spans a meaningful number of pages.
 var bigBody = string(bytes.Repeat([]byte("x"), 160))
 
+// historyMark is one as-of point of buildVariedHistory: its LSN and the
+// live bytes of every readable page at that instant.
+type historyMark struct {
+	lsn   wal.LSN
+	pages map[uint32][]byte
+}
+
+// livePages copies every page of the data file the buffer pool can fetch.
+func livePages(t *testing.T, db *engine.DB) map[uint32][]byte {
+	t.Helper()
+	pages := make(map[uint32][]byte)
+	for id := uint32(1); id < db.Data().PageCount(); id++ {
+		h, err := db.Pool().Fetch(page.ID(id), false)
+		if err != nil {
+			continue // never-allocated gap page
+		}
+		pages[id] = append([]byte(nil), h.Page().Bytes()...)
+		h.Release()
+	}
+	return pages
+}
+
 // buildVariedHistory generates a history exercising every chain-record
 // shape the reader must rewind across: inserts, updates, deletes, CLRs
 // (rolled-back transaction), preformat records (pages freed by a drop and
 // re-allocated), periodic full page images, and allocation-bitmap changes.
-// It returns the as-of LSNs captured after each phase.
-func buildVariedHistory(t *testing.T, db *engine.DB, clock *vclock) []wal.LSN {
+// It returns the marks captured after each phase.
+func buildVariedHistory(t *testing.T, db *engine.DB, clock *vclock) []historyMark {
 	t.Helper()
-	mark := func(lsns []wal.LSN) []wal.LSN {
-		return append(lsns, db.Log().NextLSN()-1)
+	mark := func(lsns []historyMark) []historyMark {
+		lsn := db.Log().NextLSN() - 1
+		// Flush first: the data file then spans every allocated page.
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		return append(lsns, historyMark{lsn: lsn, pages: livePages(t, db)})
 	}
-	var lsns []wal.LSN
+	var lsns []historyMark
 
 	pad := func(s string) string { return s + bigBody }
 
@@ -102,54 +129,50 @@ func buildVariedHistory(t *testing.T, db *engine.DB, clock *vclock) []wal.LSN {
 	return lsns
 }
 
-// TestPrepareEquivalenceChainReaderVsManagerRead is the chain-reader
-// equivalence test: rewinding every page of a varied history to every
-// captured as-of point must yield byte-identical pages through the
-// block-granular ChainReader path (PreparePageAsOf) and the per-record
-// Manager.Read path (PreparePageAsOfBaseline).
-func TestPrepareEquivalenceChainReaderVsManagerRead(t *testing.T) {
+// TestPrepareReproducesCapturedPages is the as-of oracle: rewinding the
+// final copy of every page to each mark of a varied history must reproduce
+// the pageLSN, type and slot contents the page had live at that mark.
+func TestPrepareReproducesCapturedPages(t *testing.T) {
 	clock := newVClock()
 	// Image logging on, so image chains participate.
 	db := openDB(t, clock, engine.Options{PageImageEvery: 7})
-	lsns := buildVariedHistory(t, db, clock)
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
+	marks := buildVariedHistory(t, db, clock)
+	final := livePages(t, db)
+	if len(final) < 10 {
+		t.Fatalf("history too small: %d pages", len(final))
 	}
-
-	pages := db.Data().PageCount()
-	if pages < 10 {
-		t.Fatalf("history too small: %d pages", pages)
-	}
-	orig := make([]byte, page.Size)
 	compared := 0
-	for id := uint32(1); id < pages; id++ {
-		h, err := db.Pool().Fetch(page.ID(id), false)
-		if err != nil {
-			continue // never-allocated gap page
-		}
-		copy(orig, h.Page().Bytes())
-		h.Release()
-		for _, asOf := range lsns {
-			fast := page.FromBytes(append([]byte(nil), orig...))
-			slow := page.FromBytes(append([]byte(nil), orig...))
-			errFast := PreparePageAsOf(fast, asOf, db.Log(), nil)
-			errSlow := PreparePageAsOfBaseline(slow, asOf, db.Log(), nil)
-			if (errFast == nil) != (errSlow == nil) {
-				t.Fatalf("page %d asOf %v: error divergence: fast=%v slow=%v", id, asOf, errFast, errSlow)
+	for id, orig := range final {
+		for _, m := range marks {
+			want, ok := m.pages[id]
+			if !ok {
+				continue // page not yet readable at this mark
 			}
-			if errFast != nil {
-				continue
+			got := page.FromBytes(append([]byte(nil), orig...))
+			if err := PreparePageAsOf(got, m.lsn, db.Log(), nil); err != nil {
+				t.Fatalf("page %d asOf %v: %v", id, m.lsn, err)
 			}
-			if !bytes.Equal(fast.Bytes(), slow.Bytes()) {
-				t.Fatalf("page %d asOf %v: rewound bytes diverge", id, asOf)
-			}
+			samePage(t, fmt.Sprintf("page %d asOf %v", id, m.lsn), got, page.FromBytes(want))
 			compared++
 		}
 	}
-	if compared == 0 {
-		t.Fatal("no page/asOf pairs compared")
+	t.Logf("compared %d page/asOf rewinds across %d pages", compared, len(final))
+}
+
+// samePage fails unless got and want agree on pageLSN, type and every slot.
+func samePage(t *testing.T, what string, got, want *page.Page) {
+	t.Helper()
+	if got.PageLSN() != want.PageLSN() || got.Type() != want.Type() {
+		t.Fatalf("%s: pageLSN %d type %v, want %d %v", what, got.PageLSN(), got.Type(), want.PageLSN(), want.Type())
 	}
-	t.Logf("compared %d page/asOf rewinds across %d pages", compared, pages)
+	if got.NumSlots() != want.NumSlots() {
+		t.Fatalf("%s: %d slots, want %d", what, got.NumSlots(), want.NumSlots())
+	}
+	for i := 0; i < want.NumSlots(); i++ {
+		if !bytes.Equal(got.MustGet(i), want.MustGet(i)) {
+			t.Fatalf("%s: slot %d diverges", what, i)
+		}
+	}
 }
 
 // TestPrepareZeroAllocPerUndoneRecord asserts the acceptance criterion:

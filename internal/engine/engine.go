@@ -47,8 +47,9 @@ type Options struct {
 	// query-heavy.
 	SnapshotBufferFrames int
 	// LogCacheBlocks sizes the WAL's random-read block cache in 32 KiB
-	// blocks (default 256 = 8 MiB). Chain walks for as-of queries stream
-	// through this cache; size it toward the hot log window when concurrent
+	// units of capacity (default 256 = 8 MiB); the cache holds eight 4 KiB
+	// log blocks per unit. Chain walks for as-of queries stream through
+	// this cache; size it toward the hot log window when concurrent
 	// snapshot queries rewind far back.
 	LogCacheBlocks int
 	// PageImageEvery logs a full page image every Nth modification of a

@@ -8,6 +8,11 @@ import "sync"
 // different pages — do not contend on a single mutex, and each shard runs a
 // second-chance (clock) eviction policy: a block touched since it was
 // enqueued survives one eviction pass instead of leaving in pure FIFO order.
+//
+// The cache owns its memory. Each entry holds one block buffer; an eviction
+// reuses the victim's entry and buffer in place, and get copies a block out
+// under the shard lock. No reader ever holds a reference to a buffer the
+// cache may recycle, and a full cache allocates nothing.
 type blockCache struct {
 	shards []*cacheShard
 	mask   int64
@@ -17,14 +22,17 @@ type cacheShard struct {
 	mu    sync.Mutex
 	max   int
 	items map[int64]*cacheEntry
-	// order is the clock ring: eviction pops the head; a popped entry whose
-	// ref bit is set is granted a second chance (bit cleared, re-enqueued).
-	order []int64
+	// ring is the clock, in insertion order; hand is the next eviction
+	// candidate. A candidate whose ref bit is set is granted a second
+	// chance (bit cleared, hand moves on).
+	ring []*cacheEntry
+	hand int
 }
 
 type cacheEntry struct {
-	blk []byte
+	idx int64 // block index, -1 once cleared
 	ref bool
+	blk []byte // readBlockSize bytes, allocated apart to fill one size class exactly
 }
 
 // cacheShardCount picks the shard count for a cache of max blocks: enough
@@ -53,47 +61,65 @@ func newBlockCache(max int) *blockCache {
 
 func (c *blockCache) shard(idx int64) *cacheShard { return c.shards[idx&c.mask] }
 
-func (c *blockCache) get(idx int64) []byte {
+// get copies block idx into dst and reports whether it was cached.
+func (c *blockCache) get(idx int64, dst []byte) bool {
 	s := c.shard(idx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.items[idx]
 	if e == nil {
-		return nil
+		return false
 	}
 	e.ref = true
-	return e.blk
+	copy(dst, e.blk)
+	return true
 }
 
+// put copies blk, a full block, into the cache as block idx.
 func (c *blockCache) put(idx int64, blk []byte) {
 	s := c.shard(idx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.items[idx]; ok {
-		e.blk = blk
+	if e := s.items[idx]; e != nil {
 		e.ref = true
+		copy(e.blk, blk)
 		return
 	}
-	for len(s.items) >= s.max && len(s.order) > 0 {
-		victim := s.order[0]
-		s.order = s.order[1:]
-		e := s.items[victim]
-		if e.ref {
-			e.ref = false
-			s.order = append(s.order, victim)
-			continue
-		}
-		delete(s.items, victim)
+	var e *cacheEntry
+	if len(s.ring) < s.max {
+		e = &cacheEntry{blk: make([]byte, readBlockSize)}
+		s.ring = append(s.ring, e)
+	} else {
+		e = s.victim()
+		delete(s.items, e.idx)
 	}
-	s.items[idx] = &cacheEntry{blk: blk}
-	s.order = append(s.order, idx)
+	e.idx, e.ref = idx, false
+	copy(e.blk, blk)
+	s.items[idx] = e
 }
 
+// victim advances the clock hand past referenced entries, clearing their
+// ref bits, and returns the first unreferenced one.
+func (s *cacheShard) victim() *cacheEntry {
+	for {
+		e := s.ring[s.hand]
+		s.hand = (s.hand + 1) % len(s.ring)
+		if !e.ref {
+			return e
+		}
+		e.ref = false
+	}
+}
+
+// clear drops every cached block. The entries stay allocated, unindexed
+// and unreferenced, for put to reuse as victims.
 func (c *blockCache) clear() {
 	for _, s := range c.shards {
 		s.mu.Lock()
-		s.items = make(map[int64]*cacheEntry, s.max)
-		s.order = s.order[:0]
+		clear(s.items)
+		for _, e := range s.ring {
+			e.idx, e.ref = -1, false
+		}
 		s.mu.Unlock()
 	}
 }

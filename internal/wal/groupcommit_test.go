@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -222,30 +223,44 @@ func TestConcurrentAppendFlushReadScan(t *testing.T) {
 }
 
 // TestBlockCacheSecondChance: a block touched since it was enqueued gets a
-// second chance instead of being evicted in FIFO order.
+// second chance instead of being evicted in FIFO order, and the victim's
+// buffer is recycled for the incoming block.
 func TestBlockCacheSecondChance(t *testing.T) {
 	c := newBlockCache(4)
 	if len(c.shards) != 1 {
 		t.Fatalf("tiny cache should be one shard, got %d", len(c.shards))
 	}
-	blk := func(i int) []byte { return []byte{byte(i)} }
+	blk := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, readBlockSize) }
+	dst := make([]byte, readBlockSize)
+	has := func(i int64) bool {
+		if !c.get(i, dst) {
+			return false
+		}
+		if !bytes.Equal(dst, blk(int(i))) {
+			t.Fatalf("block %d: cached bytes diverge", i)
+		}
+		return true
+	}
 	for i := 1; i <= 4; i++ {
 		c.put(int64(i), blk(i))
 	}
 	// Touch block 1: its ref bit protects it from the next eviction.
-	if c.get(1) == nil {
+	if !has(1) {
 		t.Fatal("block 1 missing")
 	}
 	c.put(5, blk(5)) // evicts 2 (1 gets its second chance)
-	if c.get(1) == nil {
+	if !has(1) {
 		t.Error("touched block 1 was evicted; second chance not honored")
 	}
-	if c.get(2) != nil {
+	if has(2) {
 		t.Error("block 2 should have been the eviction victim")
 	}
 	for _, i := range []int64{3, 4, 5} {
-		if c.get(i) == nil {
+		if !has(i) {
 			t.Errorf("block %d missing", i)
 		}
+	}
+	if n := len(c.shards[0].ring); n != 4 {
+		t.Errorf("cache holds %d entries, want 4 (victim's entry reused)", n)
 	}
 }

@@ -1,10 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -25,9 +25,15 @@ var errInjectedWrite = errors.New("wal: injected write failure (test hook)")
 // boundary (the log has been truncated past it, §4.3).
 var ErrTruncated = errors.New("wal: record truncated by retention policy")
 
-// readBlockSize is the granularity of random log reads. One block read is
-// one log I/O for the undo-I/O accounting of Figure 11.
-const readBlockSize = 32 << 10
+// readBlockSize is the granularity of random log reads: the OS page size.
+// One block read is one 4 KiB log I/O for the undo-I/O accounting of
+// Figure 11. Chain hops land on scattered records of a few hundred bytes,
+// so a larger block mostly fetches bytes the walk never decodes.
+const readBlockSize = 4 << 10
+
+// cacheUnitBlocks is the number of blocks in one unit of block-cache
+// capacity: SetCacheBlocks counts capacity in 32 KiB units.
+const cacheUnitBlocks = (32 << 10) / readBlockSize
 
 // Manager is the log manager: it assigns LSNs, buffers appends, forces the
 // log on commit (write-ahead rule), serves random reads by LSN for undo, and
@@ -178,7 +184,7 @@ func OpenStore(dir string, cfg Config) (*Manager, error) {
 		dev:     cfg.Dev,
 		tailAt:  end + 1,
 		gcBytes: DefaultGroupCommitMaxBytes,
-		cache:   newBlockCache(256), // 8 MiB of log cache
+		cache:   newBlockCache(256 * cacheUnitBlocks), // 8 MiB of log cache
 		clock:   clock.Real(),
 	}
 	m.resv.Store(uint64(end))
@@ -249,12 +255,13 @@ func (m *Manager) SetClock(c clock.Clock) {
 // Now returns the manager's wall-clock reading.
 func (m *Manager) Now() time.Time { return m.clock.Now() }
 
-// SetCacheBlocks resizes the random-read block cache to n blocks of
-// readBlockSize (n <= 0 keeps the current size). Call before the manager is
-// shared between goroutines; resizing drops cached blocks.
+// SetCacheBlocks resizes the random-read block cache to n units of 32 KiB
+// (n <= 0 keeps the current size); each unit holds cacheUnitBlocks blocks.
+// Call before the manager is shared between goroutines; resizing drops
+// cached blocks.
 func (m *Manager) SetCacheBlocks(n int) {
 	if n > 0 {
-		m.cache = newBlockCache(n)
+		m.cache = newBlockCache(n * cacheUnitBlocks)
 	}
 }
 
@@ -772,67 +779,24 @@ func (m *Manager) readAt(buf []byte, off int64, countIO bool) (int, error) {
 	return len(want), nil
 }
 
-// Read fetches the record at lsn. Reads go through a block cache; a cache
-// miss is charged to the device as one random log I/O and counted in
-// UndoReads — the paper's "each log IO is a potential stall" (§6.2).
+// Read fetches the record at lsn into a privately owned Record. It drives a
+// pooled ChainReader, so every random read shares one block path: a block
+// missing from the cache is charged to the device as one random log I/O and
+// counted in UndoReads — the paper's "each log IO is a potential stall"
+// (§6.2).
 func (m *Manager) Read(lsn LSN) (*Record, error) {
-	if lsn == NilLSN {
-		return nil, errors.New("wal: read of nil LSN")
-	}
-	if t := m.truncPoint(); lsn < t {
-		return nil, fmt.Errorf("%w: %v < %v", ErrTruncated, lsn, t)
-	}
-	var hdr [frameHeader]byte
-	if err := m.readCached(hdr[:], int64(lsn-1)); err != nil {
+	rdr := m.ChainReader()
+	defer rdr.Close()
+	body, err := rdr.body(lsn)
+	if err != nil {
 		return nil, err
 	}
-	bodyLen := binary.LittleEndian.Uint32(hdr[:4])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-	if bodyLen == 0 || bodyLen > MaxRecordBytes {
-		return nil, fmt.Errorf("wal: implausible record length %d at %v", bodyLen, lsn)
-	}
-	body := make([]byte, bodyLen)
-	if err := m.readCached(body, int64(lsn-1)+frameHeader); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(body) != wantCRC {
-		return nil, fmt.Errorf("wal: checksum mismatch at %v", lsn)
-	}
-	r, err := unmarshal(body)
+	r, err := unmarshal(bytes.Clone(body))
 	if err != nil {
 		return nil, err
 	}
 	r.LSN = lsn
 	return r, nil
-}
-
-// readCached fills buf from the block cache, loading blocks on miss.
-func (m *Manager) readCached(buf []byte, off int64) error {
-	for len(buf) > 0 {
-		blockIdx := off / readBlockSize
-		blockOff := int(off % readBlockSize)
-		blk := m.cache.get(blockIdx)
-		if blk == nil {
-			blk = make([]byte, readBlockSize)
-			n, err := m.readAt(blk, blockIdx*readBlockSize, true)
-			if err != nil && n == 0 {
-				return fmt.Errorf("wal: block %d: %w", blockIdx, err)
-			}
-			blk = blk[:n]
-			// Only cache full blocks: partial blocks at the growing end
-			// would go stale as the log is extended.
-			if n == readBlockSize {
-				m.cache.put(blockIdx, blk)
-			}
-		}
-		if blockOff >= len(blk) {
-			return io.ErrUnexpectedEOF
-		}
-		n := copy(buf, blk[blockOff:])
-		buf = buf[n:]
-		off += int64(n)
-	}
-	return nil
 }
 
 // InvalidateCache drops all cached blocks (used by tests and by restores

@@ -9,33 +9,31 @@ import (
 	"sync"
 )
 
-// chainReaderBlocks is the number of block spans a ChainReader keeps pinned.
-// Backward chain walks exhibit strong block locality (a page's recent
-// modifications cluster near the log tail, and LSNs strictly descend), so a
-// small direct set covers the working span of a walk while keeping lookup a
-// trivial linear scan.
+// chainReaderBlocks is the number of blocks a ChainReader keeps in its own
+// slot buffers. Backward chain walks exhibit strong block locality (a page's
+// recent modifications cluster near the log tail, and LSNs strictly
+// descend), so a small direct set covers the working span of a walk while
+// keeping lookup a trivial linear scan.
 const chainReaderBlocks = 8
 
-type pinnedBlock struct {
-	idx  int64 // block index, -1 when the slot is empty
-	data []byte
+// blockSlot is one of a ChainReader's slot buffers.
+type blockSlot struct {
+	idx int64 // block index, -1 when the slot is empty
+	n   int   // valid bytes: readBlockSize, or fewer for the log's last block
+	buf [readBlockSize]byte
 }
 
 // ChainReader is a block-granular log reader for backward chain walks
 // (per-page PrevPageLSN chains, per-transaction PrevLSN chains, image
-// chains). It differs from Manager.Read in three ways that matter on the
-// as-of hot path:
+// chains), and the one block path behind every random read by LSN
+// (Manager.Read drives a pooled reader too). On the as-of hot path:
 //
 //   - records are decoded in place into one reusable scratch Record, so a
 //     steady-state chain hop performs zero allocations;
-//   - decoded block spans are pinned locally, so consecutive hops within a
-//     block touch no shared lock at all (Manager.Read takes a cache-shard
-//     mutex per block access and allocates a fresh Record and body copy per
-//     record);
-//   - on a block miss it reads the *previous* block in the same physical
-//     I/O (readahead in the direction the walk moves), so long chains
-//     stream backwards through the log instead of issuing one random read
-//     per block boundary.
+//   - the reader keeps the blocks it touched in its own slot buffers, so
+//     consecutive hops within a block touch no shared lock at all; a block
+//     not held locally is copied in from the shared cache under one shard
+//     mutex, or read from the log as one readBlockSize I/O.
 //
 // The Record returned by Read, including its OldData/NewData/Extra slices,
 // is valid only until the next Read call on the same reader. Callers that
@@ -46,14 +44,14 @@ type pinnedBlock struct {
 type ChainReader struct {
 	m       *Manager
 	rec     Record
-	blocks  [chainReaderBlocks]pinnedBlock
+	blocks  [chainReaderBlocks]blockSlot
 	hand    int    // round-robin replacement cursor over blocks
 	scratch []byte // spill buffer for records crossing block boundaries
 }
 
-// chainReaderPool recycles readers (and their pinned-block sets and spill
-// buffers) across chain walks, so a PreparePageAsOf call allocates nothing
-// in the steady state.
+// chainReaderPool recycles readers (and their slot and spill buffers)
+// across chain walks, so a PreparePageAsOf call allocates nothing in the
+// steady state.
 var chainReaderPool = sync.Pool{New: func() any { return new(ChainReader) }}
 
 // ChainReader returns a reader for backward chain walks over this log.
@@ -63,7 +61,7 @@ func (m *Manager) ChainReader() *ChainReader {
 	r.m = m
 	r.hand = 0
 	for i := range r.blocks {
-		r.blocks[i] = pinnedBlock{idx: -1}
+		r.blocks[i].idx = -1
 	}
 	return r
 }
@@ -75,16 +73,27 @@ func (r *ChainReader) Close() {
 		return
 	}
 	r.m = nil
-	for i := range r.blocks {
-		r.blocks[i] = pinnedBlock{idx: -1} // drop block refs for GC
-	}
 	chainReaderPool.Put(r)
 }
 
 // Read decodes the record at lsn into the reader's reusable scratch record.
-// The result (including byte fields, which alias pinned block memory) is
+// The result (including byte fields, which alias the reader's buffers) is
 // valid until the next Read or Close on this reader.
 func (r *ChainReader) Read(lsn LSN) (*Record, error) {
+	body, err := r.body(lsn)
+	if err != nil {
+		return nil, err
+	}
+	if err := unmarshalInto(&r.rec, body); err != nil {
+		return nil, err
+	}
+	r.rec.LSN = lsn
+	return &r.rec, nil
+}
+
+// body returns the checksum-verified body of the record at lsn, aliasing
+// the reader's buffers until the next read.
+func (r *ChainReader) body(lsn LSN) ([]byte, error) {
 	if r.m == nil {
 		return nil, errors.New("wal: Read on closed ChainReader")
 	}
@@ -110,109 +119,55 @@ func (r *ChainReader) Read(lsn LSN) (*Record, error) {
 	if crc32.ChecksumIEEE(body) != wantCRC {
 		return nil, fmt.Errorf("wal: checksum mismatch at %v", lsn)
 	}
-	if err := unmarshalInto(&r.rec, body); err != nil {
-		return nil, err
-	}
-	r.rec.LSN = lsn
-	return &r.rec, nil
+	return body, nil
 }
 
-// pinned returns the locally pinned copy of block idx, or nil.
-func (r *ChainReader) pinned(idx int64) []byte {
-	for i := range r.blocks {
-		if r.blocks[i].idx == idx {
-			return r.blocks[i].data
-		}
-	}
-	return nil
-}
-
-// pin installs a block span in the local set, replacing round-robin.
-func (r *ChainReader) pin(idx int64, data []byte) {
-	r.blocks[r.hand] = pinnedBlock{idx: idx, data: data}
-	r.hand = (r.hand + 1) % chainReaderBlocks
-}
-
-// unpin drops any pinned copy of block idx (stale partial tail blocks).
-func (r *ChainReader) unpin(idx int64) {
-	for i := range r.blocks {
-		if r.blocks[i].idx == idx {
-			r.blocks[i] = pinnedBlock{idx: -1}
-		}
-	}
-}
-
-// block returns the bytes of block idx: from the local pinned set (no
-// locks), else the shared cache (one shard mutex), else a physical read.
+// block returns the bytes of block idx: from the reader's own slots (no
+// locks), else loaded into the next slot.
 func (r *ChainReader) block(idx int64) ([]byte, error) {
-	if blk := r.pinned(idx); blk != nil {
-		return blk, nil
-	}
-	if blk := r.m.cache.get(idx); blk != nil {
-		r.pin(idx, blk)
-		return blk, nil
+	for i := range r.blocks {
+		if b := &r.blocks[i]; b.idx == idx {
+			return b.buf[:b.n], nil
+		}
 	}
 	return r.load(idx)
 }
 
-// load reads block idx from the manager. Chain walks move toward lower
-// LSNs, so the previous block is fetched in the same physical read when it
-// is not already resident — one I/O warms the span the walk needs next.
+// load fills the next slot, round-robin, with block idx: copied from the
+// shared cache, else read from the log. Only full blocks enter the shared
+// cache: a partial block at the growing end would go stale as the log is
+// extended. The slot may still hold it — appended records are immutable, so
+// a stale-short copy is refreshed on demand (see copyAt).
 func (r *ChainReader) load(idx int64) ([]byte, error) {
-	start := idx
-	if idx > 0 && r.pinned(idx-1) == nil {
-		if blk := r.m.cache.get(idx - 1); blk != nil {
-			r.pin(idx-1, blk)
-		} else {
-			start = idx - 1
-		}
+	b := &r.blocks[r.hand]
+	r.hand = (r.hand + 1) % chainReaderBlocks
+	b.idx = -1
+	if r.m.cache.get(idx, b.buf[:]) {
+		b.idx, b.n = idx, readBlockSize
+		return b.buf[:], nil
 	}
-	buf := make([]byte, int(idx-start+1)*readBlockSize)
-	n, err := r.m.readAt(buf, start*readBlockSize, true)
+	n, err := r.m.readAt(b.buf[:], idx*readBlockSize, true)
 	if err != nil && n == 0 {
 		return nil, fmt.Errorf("wal: block %d: %w", idx, err)
 	}
-	buf = buf[:n]
-	var out []byte
-	for b := start; b <= idx; b++ {
-		off := int(b-start) * readBlockSize
-		if off >= len(buf) {
-			break
-		}
-		end := off + readBlockSize
-		if end > len(buf) {
-			end = len(buf)
-		}
-		blk := buf[off:end:end]
-		// Only full blocks enter the shared cache: a partial block at the
-		// growing end would go stale as the log is extended. The reader may
-		// still pin it privately — appended records are immutable, so a
-		// stale-short private copy is refreshed on demand (see copyAt).
-		if len(blk) == readBlockSize {
-			r.m.cache.put(b, blk)
-		}
-		r.pin(b, blk)
-		if b == idx {
-			out = blk
-		}
+	if n == readBlockSize {
+		r.m.cache.put(idx, b.buf[:])
 	}
-	if out == nil {
-		return nil, io.ErrUnexpectedEOF
-	}
-	return out, nil
+	b.idx, b.n = idx, n
+	return b.buf[:n], nil
 }
 
-// refresh replaces a stale-short pinned copy of block idx with current bytes.
+// refresh replaces a stale-short copy of block idx with current bytes.
 func (r *ChainReader) refresh(idx int64) ([]byte, error) {
-	r.unpin(idx)
-	if blk := r.m.cache.get(idx); blk != nil {
-		r.pin(idx, blk)
-		return blk, nil
+	for i := range r.blocks {
+		if r.blocks[i].idx == idx {
+			r.blocks[i].idx = -1
+		}
 	}
 	return r.load(idx)
 }
 
-// copyAt fills dst from log offset off through the pinned block set.
+// copyAt fills dst from log offset off through the reader's blocks.
 func (r *ChainReader) copyAt(dst []byte, off int64) error {
 	for len(dst) > 0 {
 		idx := off / readBlockSize
@@ -236,8 +191,8 @@ func (r *ChainReader) copyAt(dst []byte, off int64) error {
 	return nil
 }
 
-// view returns n bytes at log offset off: a direct slice of one pinned
-// block when the range does not cross a block boundary (the common case —
+// view returns n bytes at log offset off: a direct slice of one slot buffer
+// when the range does not cross a block boundary (the common case —
 // zero copies), else assembled into the reader's reusable spill buffer.
 func (r *ChainReader) view(off int64, n int) ([]byte, error) {
 	bo := int(off % readBlockSize)

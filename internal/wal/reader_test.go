@@ -3,7 +3,10 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -75,19 +78,27 @@ func TestChainReaderMatchesManagerRead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chain read %v: %v", lsns[i], err)
 		}
-		if got.LSN != want.LSN || got.Type != want.Type || got.TxnID != want.TxnID ||
-			got.PrevLSN != want.PrevLSN || got.PageID != want.PageID ||
-			got.ObjectID != want.ObjectID || got.PrevPageLSN != want.PrevPageLSN ||
-			got.UndoNextLSN != want.UndoNextLSN || got.PrevImageLSN != want.PrevImageLSN ||
-			got.CLRType != want.CLRType || got.Flags != want.Flags ||
-			got.Slot != want.Slot || got.WallClock != want.WallClock {
-			t.Fatalf("record %v mismatch:\n got %+v\nwant %+v", lsns[i], got, want)
-		}
-		if !bytes.Equal(got.OldData, want.OldData) || !bytes.Equal(got.NewData, want.NewData) ||
-			!bytes.Equal(got.Extra, want.Extra) {
-			t.Fatalf("record %v payload mismatch", lsns[i])
+		if err := diffRecord(got, want); err != nil {
+			t.Fatal(err)
 		}
 	}
+}
+
+// diffRecord reports the first difference between two records.
+func diffRecord(got, want *Record) error {
+	if got.LSN != want.LSN || got.Type != want.Type || got.TxnID != want.TxnID ||
+		got.PrevLSN != want.PrevLSN || got.PageID != want.PageID ||
+		got.ObjectID != want.ObjectID || got.PrevPageLSN != want.PrevPageLSN ||
+		got.UndoNextLSN != want.UndoNextLSN || got.PrevImageLSN != want.PrevImageLSN ||
+		got.CLRType != want.CLRType || got.Flags != want.Flags ||
+		got.Slot != want.Slot || got.WallClock != want.WallClock {
+		return fmt.Errorf("record %v mismatch:\n got %+v\nwant %+v", want.LSN, got, want)
+	}
+	if !bytes.Equal(got.OldData, want.OldData) || !bytes.Equal(got.NewData, want.NewData) ||
+		!bytes.Equal(got.Extra, want.Extra) {
+		return fmt.Errorf("record %v payload mismatch", want.LSN)
+	}
+	return nil
 }
 
 // TestChainReaderSeesUnflushedTail reads a record that only exists in the
@@ -191,6 +202,194 @@ func TestChainReaderZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state chain hop allocates: %.2f allocs/record", allocs)
+	}
+}
+
+// TestChainReaderZeroAllocBlockMiss: once the shared cache is full, a block
+// miss recycles a victim's buffer and the reader's own slot, so a walk over
+// a log several times the cache's size allocates nothing.
+func TestChainReaderZeroAllocBlockMiss(t *testing.T) {
+	m, err := Open(filepath.Join(t.TempDir(), "wal.log"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	m.SetCacheBlocks(1)
+	cacheBytes := int64(cacheUnitBlocks * readBlockSize)
+	var lsns []LSN
+	for m.Size() < 8*cacheBytes {
+		lsn, err := m.Append(&Record{Type: TypeUpdate, PageID: 3, Slot: uint16(len(lsns)),
+			OldData: []byte("old-payload-123"), NewData: []byte("new-payload-123")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	if err := m.Flush(lsns[len(lsns)-1]); err != nil {
+		t.Fatal(err)
+	}
+	rdr := m.ChainReader()
+	defer rdr.Close()
+	walk := func() {
+		for i := len(lsns) - 1; i >= 0; i-- {
+			if _, err := rdr.Read(lsns[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	walk() // fills the cache and sizes the reader's spill buffer
+	before := m.UndoReads.Load()
+	const runs = 3
+	allocs := testing.AllocsPerRun(runs, walk)
+	// AllocsPerRun walks once more to warm up; every walk misses every block.
+	if misses, blocks := (m.UndoReads.Load()-before)/(runs+1), m.Size()/readBlockSize; misses < blocks {
+		t.Fatalf("walk missed %d blocks, want at least %d: the cache is not cold", misses, blocks)
+	}
+	if allocs > 0 {
+		t.Fatalf("walk with every block missing allocates: %.0f allocs per walk", allocs)
+	}
+}
+
+// TestBlockPathHammer races several ChainReaders and Manager.Read callers
+// over a log many times the block cache's size, so blocks are evicted and
+// their buffers recycled constantly while other readers copy them. Every
+// record read must match what was appended. Run under -race in CI.
+func TestBlockPathHammer(t *testing.T) {
+	m, err := Open(filepath.Join(t.TempDir(), "wal.log"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	m.SetCacheBlocks(1)
+	var want []*Record
+	prev := NilLSN
+	for i := 0; i < 400; i++ {
+		r := &Record{Type: TypeUpdate, TxnID: uint64(i%5) + 1, PageID: uint32(i % 17),
+			PrevLSN: prev, PrevPageLSN: prev, Slot: uint16(i), WallClock: int64(i) * 1000,
+			OldData: []byte(fmt.Sprintf("old-%d", i)), NewData: []byte(fmt.Sprintf("new-%d", i))}
+		if i%9 == 4 {
+			r.Type = TypeImage
+			r.NewData = bytes.Repeat([]byte{byte(i)}, 8192)
+		}
+		lsn, err := m.Append(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.LSN = lsn
+		want = append(want, r)
+		prev = lsn
+	}
+	// Most of the log on disk, the rest still in the tail buffer.
+	if err := m.Flush(want[3*len(want)/4].LSN); err != nil {
+		t.Fatal(err)
+	}
+	if m.Size() < 8*cacheUnitBlocks*readBlockSize {
+		t.Fatalf("log of %d bytes does not overrun the cache", m.Size())
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			rdr := m.ChainReader()
+			defer rdr.Close()
+			for n := 0; n < 1500; n++ {
+				w := want[rng.Intn(len(want))]
+				var got *Record
+				var err error
+				if g%2 == 0 {
+					got, err = rdr.Read(w.LSN)
+				} else {
+					got, err = m.Read(w.LSN)
+				}
+				if err == nil {
+					err = diffRecord(got, w)
+				}
+				if err != nil {
+					t.Errorf("reader %d: %v", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestChainReaderImageSpansThreeBlocks reads an 8 KiB page-image record
+// spanning three blocks: from the tail while the reader holds a stale-short
+// copy of its first block and its last block is partial (the refresh path),
+// again after more appends extend that partial block, and from disk.
+func TestChainReaderImageSpansThreeBlocks(t *testing.T) {
+	m, err := Open(filepath.Join(t.TempDir(), "wal.log"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	small := func(i int) *Record {
+		return &Record{Type: TypeUpdate, PageID: 9, Slot: uint16(i), NewData: []byte("s")}
+	}
+	appendRec := func(r *Record) *Record {
+		lsn, err := m.Append(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.LSN = lsn
+		return r
+	}
+	// Stop mid-block, at least one small record past a block start.
+	for i := 0; m.Size()%readBlockSize < readBlockSize/2; i++ {
+		appendRec(small(i))
+	}
+	rdr := m.ChainReader()
+	defer rdr.Close()
+	read := func(want *Record) {
+		t.Helper()
+		got, err := rdr.Read(want.LSN)
+		if err == nil {
+			err = diffRecord(got, want)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := appendRec(small(-1))
+	read(before) // the reader now holds a partial copy of the image's first block
+	img := appendRec(&Record{Type: TypeImage, PageID: 9, PrevImageLSN: before.LSN,
+		NewData: bytes.Repeat([]byte("page-image"), 8192/10)})
+	first, last := int64(img.LSN-1)/readBlockSize, (m.Size()-1)/readBlockSize
+	if last-first != 2 || m.Size()%readBlockSize == 0 {
+		t.Fatalf("image spans blocks %d..%d, want three ending in a partial block", first, last)
+	}
+	read(img)
+	after := appendRec(small(-2))
+	read(after) // extends the partial block the reader holds
+	read(img)
+	read(before)
+
+	if err := m.Flush(after.LSN); err != nil {
+		t.Fatal(err)
+	}
+	m.InvalidateCache()
+	cold := m.ChainReader()
+	defer cold.Close()
+	reads := m.UndoReads.Load()
+	got, err := cold.Read(img.LSN)
+	if err == nil {
+		err = diffRecord(got, img)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := m.UndoReads.Load() - reads; n != 3 {
+		t.Fatalf("cold image read issued %d block reads, want 3", n)
+	}
+	if got, err = m.Read(img.LSN); err == nil {
+		err = diffRecord(got, img)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -22,15 +22,15 @@
 // through a sharded second-chance block cache so concurrent snapshot-undo
 // and recovery readers do not contend.
 //
-// The read side offers two paths. Manager.Read fetches one record by LSN
-// through the shared block cache, returning a privately-owned Record — the
-// convenient form for occasional lookups. ChainReader is the hot path for
-// backward chain walks (per-page PrevPageLSN chains, per-transaction
-// PrevLSN chains, §6.1 image chains): it pins decoded block spans locally,
-// decodes records in place into a reusable scratch Record (zero allocations
-// per hop in the steady state), and reads the previous block in the same
-// physical I/O as the current one, so long chains stream backwards through
-// the log instead of ping-ponging the shared cache.
+// Every random read goes through one block path, ChainReader: the hot path
+// for backward chain walks (per-page PrevPageLSN chains, per-transaction
+// PrevLSN chains, §6.1 image chains). It keeps the 4 KiB blocks it touched
+// in its own buffers, copied from the shared cache or read from the log,
+// and decodes records in place into a reusable scratch Record (zero
+// allocations per hop in the steady state). Manager.Read drives a pooled
+// ChainReader and returns a privately owned copy of the record — the
+// convenient form for occasional lookups. Sequential scans (recovery,
+// analysis) bypass blocks and read the log directly.
 //
 // The manager also keeps a sparse time→LSN index (TimeSample): every
 // timeSampleEvery bytes of log, one commit record contributes a

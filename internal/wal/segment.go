@@ -443,7 +443,7 @@ func (st *segmentStore) syncDirty() error {
 // bytes served; short only at the end of the store. Bytes below the first
 // segment were dropped by retention (or never existed: a reseeded store
 // based mid-stream) and are served as zeros — block-granular readers load
-// whole 32 KiB blocks whose first bytes may predate the floor, and the
+// whole readBlockSize blocks whose first bytes may predate the floor, and the
 // manager's truncation-point check is what keeps record reads from ever
 // depending on those bytes.
 func (st *segmentStore) readAt(b []byte, off int64) (int, error) {
