@@ -191,29 +191,15 @@ func RestoreToLSN(m Manifest, srcLog LogSource, split wal.LSN, destPath string, 
 	}
 
 	// 2. Redo: replay the log forward from the backup point to the split.
-	att := make(map[uint64]*wal.ATTEntry)
+	st := engine.NewRecoveryState()
 	err = srcLog.Scan(m.BackupLSN, func(rec *wal.Record) (bool, error) {
 		if rec.LSN > split {
 			return false, nil
 		}
-		switch rec.Type {
-		case wal.TypeBegin:
-			att[rec.TxnID] = &wal.ATTEntry{TxnID: rec.TxnID, LastLSN: rec.LSN, BeginLSN: rec.LSN}
-		case wal.TypeCommit, wal.TypeAbort:
-			delete(att, rec.TxnID)
-		case wal.TypeCheckpointBegin, wal.TypeCheckpointEnd:
-		default:
-			if rec.TxnID != 0 {
-				if e, ok := att[rec.TxnID]; ok {
-					e.LastLSN = rec.LSN
-				} else {
-					att[rec.TxnID] = &wal.ATTEntry{TxnID: rec.TxnID, LastLSN: rec.LSN}
-				}
-			}
-			if rec.IsPageOp() && rec.PageID != wal.NoPage {
-				if err := r.redoOne(rec); err != nil {
-					return false, err
-				}
+		st.Observe(rec)
+		if rec.IsPageOp() && rec.PageID != wal.NoPage {
+			if err := r.redoOne(rec); err != nil {
+				return false, err
 			}
 		}
 		return true, nil
@@ -224,8 +210,8 @@ func RestoreToLSN(m Manifest, srcLog LogSource, split wal.LSN, destPath string, 
 	}
 
 	// 3. Undo in-flight transactions at the split (logical, unlogged).
-	for _, e := range att {
-		if err := r.undoTxn(srcLog, *e); err != nil {
+	for _, e := range st.Inflight() {
+		if err := r.undoTxn(srcLog, e); err != nil {
 			dst.Close()
 			return nil, fmt.Errorf("backup: restore undo: %w", err)
 		}

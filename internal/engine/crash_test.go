@@ -1,11 +1,18 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/row"
+	"repro/internal/wal"
 )
 
 // TestCrashRecoveryMatrix repeatedly crashes the same database at varied
@@ -213,5 +220,94 @@ func TestRepeatedCrashesWithoutProgress(t *testing.T) {
 			t.Fatalf("recovery %d: %v", i, err)
 		}
 		db.Crash()
+	}
+}
+
+// copyTree copies the regular files under src to dst, keeping the layout.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoveryUndoOrderDeterministic: recovery undoes the transactions in
+// flight at a crash in transaction-id order, so two recoveries of copies of
+// one crashed directory, on the same virtual clock, append byte-identical
+// log.
+func TestRecoveryUndoOrderDeterministic(t *testing.T) {
+	const open = 5
+	dir := filepath.Join(t.TempDir(), "crashed")
+	start := time.Date(2012, 8, 27, 12, 0, 0, 0, time.UTC)
+	db, err := Open(dir, Options{Clock: clock.NewMock(start)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, func(tx *Txn) error { return tx.CreateTable(testSchema("t")) })
+	for i := 0; i < open; i++ {
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 3; j++ {
+			if err := tx.Insert("t", testRow(i*10+j, fmt.Sprintf("open txn %d row %d", i, j), j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// A commit forces the open transactions' records to disk with it.
+	mustExec(t, db, func(tx *Txn) error { return tx.Insert("t", testRow(1000, "committed", 0)) })
+	crashEnd := db.Log().NextLSN()
+	db.Crash()
+
+	var appended [2][]byte
+	for i := range appended {
+		cp := filepath.Join(t.TempDir(), "copy")
+		copyTree(t, dir, cp)
+		db, err := Open(cp, Options{Clock: clock.NewMock(start.Add(time.Minute))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		aborts := 0
+		if err := db.Log().Scan(crashEnd, func(r *wal.Record) (bool, error) {
+			if r.Type == wal.TypeAbort {
+				aborts++
+			}
+			return true, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if aborts != open {
+			t.Fatalf("recovery %d logged %d aborts, want %d", i, aborts, open)
+		}
+		b := make([]byte, db.Log().NextLSN()-crashEnd)
+		if n, err := db.Log().ReadDurable(b, int64(crashEnd-1)); err != nil || n != len(b) {
+			t.Fatalf("read %d of %d recovery log bytes: %v", n, len(b), err)
+		}
+		appended[i] = b
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(appended[0], appended[1]) {
+		t.Fatalf("recoveries appended different log: %d vs %d bytes, first difference at byte %d",
+			len(appended[0]), len(appended[1]), firstDiff(appended[0], appended[1]))
 	}
 }

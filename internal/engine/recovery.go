@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/storage/buffer"
 	"repro/internal/storage/disk"
@@ -131,12 +132,15 @@ func (st *RecoveryState) Observe(rec *wal.Record) {
 	}
 }
 
-// Inflight returns the in-flight transactions as ATT entries.
+// Inflight returns the in-flight transactions as ATT entries, ordered by
+// transaction id, so every pass that undoes them appends its CLRs and
+// abort records in the same order on every run.
 func (st *RecoveryState) Inflight() []wal.ATTEntry {
 	out := make([]wal.ATTEntry, 0, len(st.ATT))
 	for _, e := range st.ATT {
 		out = append(out, *e)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].TxnID < out[j].TxnID })
 	return out
 }
 

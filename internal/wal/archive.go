@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 )
 
 // ArchivedLog presents one contiguous, LSN-addressed read surface over a
@@ -237,7 +238,8 @@ func (a *ArchivedLog) readAt(buf []byte, off int64) (int, error) {
 }
 
 // Scan iterates records in LSN order starting at from (clamped to the
-// composite's floor), stopping at a torn tail exactly like Manager.Scan.
+// composite's floor), stopping at a torn tail exactly like Manager.Scan,
+// with the same window reads and record lifetime.
 func (a *ArchivedLog) Scan(from LSN, fn func(*Record) (bool, error)) error {
 	if from == NilLSN {
 		from = 1
@@ -259,43 +261,74 @@ func (a *ArchivedLog) Read(lsn LSN) (*Record, error) {
 	return readFrame(a.readAt, lsn)
 }
 
+// scanWindowBytes is the size of one sequential scan read. A forward scan
+// reads the log a window at a time and decodes every frame inside the
+// window in place, so it costs one read per window instead of two per
+// record.
+const scanWindowBytes = 256 << 10
+
+// scanWindow is one scan's read state: the window buffer, the log range it
+// holds, and the Record every frame is decoded into.
+type scanWindow struct {
+	buf  [scanWindowBytes]byte
+	base int64 // log offset of buf[0]
+	n    int   // valid bytes in buf
+	end  bool  // the read that filled buf reached the end of the log
+	rec  Record
+}
+
+// scanWindowPool recycles windows across scans, as chainReaderPool does
+// for chain readers.
+var scanWindowPool = sync.Pool{New: func() any { return new(scanWindow) }}
+
 // scanFrames drives the shared sequential frame-decode loop over an
 // arbitrary byte source: parse a frame header, verify the body CRC, decode,
 // hand to fn; stop cleanly at a torn or truncated tail.
+//
+// The source is read in scanWindowBytes windows. A frame inside the window
+// is decoded straight out of it into one reused Record; the next window
+// starts at the first frame that does not fit. A frame larger than a window
+// is read on its own. The Record passed to fn, byte fields included, is
+// valid only until fn returns.
 func scanFrames(readAt func([]byte, int64) (int, error), from LSN, fn func(*Record) (bool, error)) error {
+	w := scanWindowPool.Get().(*scanWindow)
+	defer scanWindowPool.Put(w)
 	off := int64(from - 1)
-	var hdr [frameHeader]byte
-	body := make([]byte, 0, 4096)
+	w.base, w.n, w.end = off, 0, false
 	for {
-		n, err := readAt(hdr[:], off)
-		if errors.Is(err, io.EOF) || n < frameHeader {
-			break
-		}
+		hdr, err := w.bytes(readAt, off, frameHeader)
 		if err != nil {
 			return err
+		}
+		if hdr == nil {
+			break // end of log, or a torn header
 		}
 		bodyLen := int(binary.LittleEndian.Uint32(hdr[:4]))
 		wantCRC := binary.LittleEndian.Uint32(hdr[4:])
 		if bodyLen == 0 || bodyLen > MaxRecordBytes {
 			break // implausible header: torn/garbage tail
 		}
-		if cap(body) < bodyLen {
-			body = make([]byte, bodyLen)
+		var framed []byte
+		if frameHeader+bodyLen <= scanWindowBytes {
+			framed, err = w.bytes(readAt, off, frameHeader+bodyLen)
+		} else {
+			framed, err = w.large(readAt, off, frameHeader+bodyLen)
 		}
-		body = body[:bodyLen]
-		bn, err := readAt(body, off+frameHeader)
-		if err != nil && !errors.Is(err, io.EOF) {
-			return fmt.Errorf("wal: scan body at %d: %w", off, err)
-		}
-		if bn < bodyLen || crc32.ChecksumIEEE(body) != wantCRC {
-			break // torn tail: the valid log ends here
-		}
-		rec, err := unmarshal(body)
 		if err != nil {
 			return err
 		}
-		rec.LSN = LSN(off + 1)
-		cont, err := fn(rec)
+		if framed == nil {
+			break // torn tail: the valid log ends here
+		}
+		body := framed[frameHeader:]
+		if crc32.ChecksumIEEE(body) != wantCRC {
+			break // torn tail: the valid log ends here
+		}
+		if err := unmarshalInto(&w.rec, body); err != nil {
+			return err
+		}
+		w.rec.LSN = LSN(off + 1)
+		cont, err := fn(&w.rec)
 		if err != nil {
 			return err
 		}
@@ -305,6 +338,52 @@ func scanFrames(readAt func([]byte, int64) (int, error), from LSN, fn func(*Reco
 		off += int64(frameHeader + bodyLen)
 	}
 	return nil
+}
+
+// bytes returns log bytes [off, off+size) from the window, refilling it
+// from off when they are not all in it. nil means the log ends before
+// off+size. size is at most scanWindowBytes.
+func (w *scanWindow) bytes(readAt func([]byte, int64) (int, error), off int64, size int) ([]byte, error) {
+	if off+int64(size) > w.base+int64(w.n) {
+		if w.end {
+			return nil, nil
+		}
+		n, err := readAt(w.buf[:], off)
+		if err != nil && !errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("wal: scan at %d: %w", off, err)
+		}
+		w.base, w.n, w.end = off, n, n < len(w.buf)
+		if size > n {
+			return nil, nil
+		}
+	}
+	i := off - w.base
+	return w.buf[i : i+int64(size)], nil
+}
+
+// large reads a frame bigger than the window into its own buffer. It
+// first probes the frame's last byte, so a torn header that claims a huge
+// length stops the scan without allocating that length.
+func (w *scanWindow) large(readAt func([]byte, int64) (int, error), off int64, size int) ([]byte, error) {
+	if w.end {
+		return nil, nil // the log ends inside the window
+	}
+	var last [1]byte
+	if n, err := readAt(last[:], off+int64(size)-1); n < 1 {
+		if err != nil && !errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("wal: scan at %d: %w", off, err)
+		}
+		return nil, nil
+	}
+	framed := make([]byte, size)
+	n, err := readAt(framed, off)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("wal: scan at %d: %w", off, err)
+	}
+	if n < size {
+		return nil, nil
+	}
+	return framed, nil
 }
 
 // readFrame fetches and decodes the single record at lsn from a byte source.

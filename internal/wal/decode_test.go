@@ -1,14 +1,18 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // writeStreamsMeta hand-builds the sidecar a partitioned log was created
@@ -216,6 +220,95 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		if !reflect.DeepEqual(d, d2) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", d2, d)
+		}
+	})
+}
+
+// memLog serves an in-memory log the way Manager.readAt serves a real one:
+// a short read at the end, io.EOF at or past it.
+func memLog(b []byte) func([]byte, int64) (int, error) {
+	return func(dst []byte, off int64) (int, error) {
+		if off >= int64(len(b)) {
+			return 0, io.EOF
+		}
+		return copy(dst, b[off:]), nil
+	}
+}
+
+// FuzzScanFrames: scanning arbitrary bytes never panics, never allocates
+// more than the input's length plus one window, and yields exactly the
+// prefix of frames whose CRCs verify (NextFrame is the reference parser);
+// a verified frame that does not decode fails the scan.
+func FuzzScanFrames(f *testing.F) {
+	var log []byte
+	var ends []int
+	for i := 0; i < 10; i++ {
+		log = frame(log, &Record{Type: TypeCommit, TxnID: uint64(i + 1), PageID: NoPage, WallClock: int64(1000 + i)})
+		ends = append(ends, len(log))
+	}
+	f.Add(log)
+	f.Add(log[:ends[8]+5]) // torn 5 bytes into the last record
+	f.Add(log[:ends[4]+3]) // torn inside a header
+	corrupt := bytes.Clone(log[:ends[1]])
+	copy(corrupt[ends[0]+frameHeader+3:], []byte{0xFF, 0xFF, 0xFF}) // second body corrupted
+	f.Add(corrupt)
+	// A garbage header at the tail claiming a body of nearly MaxRecordBytes.
+	f.Add(append(bytes.Clone(log), 0xF0, 0xFF, 0xFF, 0x03, 1, 2, 3, 4))
+	// A frame larger than a window, whole and torn.
+	big := frame(bytes.Clone(log[:ends[0]]), recordOfFrameSize(scanWindowBytes+100, 'b'))
+	f.Add(big)
+	f.Add(big[:len(big)-1])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		type frameAt struct {
+			off int
+			rec *Record
+		}
+		var want []frameAt
+		wantErr := false
+		for off := 0; ; {
+			body, size, ok, err := NextFrame(data[off:])
+			if !ok || err != nil {
+				break
+			}
+			r, err := DecodeBody(body)
+			if err != nil {
+				wantErr = true
+				break
+			}
+			want = append(want, frameAt{off, r})
+			off += size
+		}
+
+		// The bare scan's allocations, with a callback that keeps nothing.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := 0
+		bareErr := scanFrames(memLog(data), 1, func(*Record) (bool, error) { n++; return true, nil })
+		runtime.ReadMemStats(&after)
+		const slack = 64 << 10 // allocator accounting granularity, error values
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(data))+uint64(unsafe.Sizeof(scanWindow{}))+slack; got > limit {
+			t.Fatalf("scan of %d bytes allocated %d bytes, limit %d", len(data), got, limit)
+		}
+
+		var got []frameAt
+		err := scanFrames(memLog(data), 1, func(r *Record) (bool, error) {
+			c := *r
+			c.OldData, c.NewData, c.Extra = bytes.Clone(r.OldData), bytes.Clone(r.NewData), bytes.Clone(r.Extra)
+			got = append(got, frameAt{int(r.LSN - 1), &c})
+			return true, nil
+		})
+		if (err != nil) != wantErr || (bareErr != nil) != wantErr {
+			t.Fatalf("scan error %v (bare scan %v), want error: %v", err, bareErr, wantErr)
+		}
+		if len(got) != len(want) || n != len(want) {
+			t.Fatalf("scan yielded %d frames (bare scan %d), want %d", len(got), n, len(want))
+		}
+		for i := range want {
+			want[i].rec.LSN = LSN(want[i].off + 1)
+			if got[i].off != want[i].off || !reflect.DeepEqual(got[i].rec, want[i].rec) {
+				t.Fatalf("frame %d: got %+v at %d, want %+v at %d", i, got[i].rec, got[i].off, want[i].rec, want[i].off)
+			}
 		}
 	})
 }

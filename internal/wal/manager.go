@@ -812,7 +812,11 @@ func (m *Manager) InjectWriteFailures(on bool) { m.failWrites.Store(on) }
 
 // Scan iterates records in LSN order starting at from (or the truncation
 // point, if later), invoking fn for each until fn returns false or an
-// error, or the log ends. The scan is sequential I/O.
+// error, or the log ends. The scan is sequential I/O: it reads the log in
+// pooled 256 KiB windows (one read per window, not per record) and decodes
+// each record in place. The Record passed to fn, including its
+// OldData/NewData/Extra slices, is valid only until fn returns; a caller
+// that keeps a record past that must copy what it keeps.
 func (m *Manager) Scan(from LSN, fn func(*Record) (bool, error)) error {
 	if from == NilLSN {
 		from = 1
